@@ -10,7 +10,8 @@
 //     per-hop protocol state and ack traffic.
 //
 // Series: completion time and frame counts vs per-hop loss and vs hop
-// count.  The end-to-end argument, quantified on this stack.
+// count.  The end-to-end argument, quantified on this stack.  Exits
+// nonzero when any transfer fails to complete.
 
 #include <cstdio>
 
@@ -59,6 +60,7 @@ Outcome run_path(std::size_t hops, double per_hop_loss, Seq count) {
 }  // namespace
 
 int main() {
+    bool all_complete = true;
     std::printf("E14: end-to-end vs hop-by-hop reliability (w=16, 1000 msgs,\n"
                 "    1-2 ms hops, dumb relays vs per-hop links)\n");
 
@@ -67,6 +69,7 @@ int main() {
     for (const double loss : {0.0, 0.02, 0.05, 0.10, 0.20}) {
         const auto e2e = run_path<EndToEndPath>(4, loss, 1000);
         const auto hbh = run_path<HopByHopPath>(4, loss, 1000);
+        all_complete = all_complete && e2e.ok && hbh.ok;
         by_loss.add_row({workload::fmt(loss * 100, 0) + "%",
                          e2e.ok ? workload::fmt(e2e.seconds, 2) + " s" : "INCOMPLETE",
                          hbh.ok ? workload::fmt(hbh.seconds, 2) + " s" : "INCOMPLETE",
@@ -81,6 +84,7 @@ int main() {
     for (const std::size_t hops : {1u, 2u, 4u, 6u, 8u}) {
         const auto e2e = run_path<EndToEndPath>(hops, 0.05, 1000);
         const auto hbh = run_path<HopByHopPath>(hops, 0.05, 1000);
+        all_complete = all_complete && e2e.ok && hbh.ok;
         by_hops.add_row({std::to_string(hops),
                          e2e.ok ? workload::fmt(e2e.seconds, 2) + " s" : "INCOMPLETE",
                          hbh.ok ? workload::fmt(hbh.seconds, 2) + " s" : "INCOMPLETE",
@@ -100,5 +104,5 @@ int main() {
         "pays is per-flow state, buffering, and protocol processing at every\n"
         "relay -- the end-to-end argument's other half, not visible in frame\n"
         "counts.\n");
-    return 0;
+    return all_complete ? 0 : 1;
 }

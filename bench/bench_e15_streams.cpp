@@ -10,6 +10,7 @@
 //
 // Messages are paced below capacity so queueing does not mask the effect.
 // Series: p50 / p99 / p999 app-level delivery latency vs loss rate.
+// Exits nonzero when any run fails to deliver every message.
 
 #include <cstdio>
 #include <map>
@@ -82,9 +83,11 @@ int main() {
                 "    window 128, paced at 1000 msg/s per flow, 4-6 ms links)\n",
                 (unsigned long long)kFlows);
     workload::Table table({"loss", "design", "p50 ms", "p99 ms", "p99.9 ms", "max ms"});
+    bool all_complete = true;
     for (const double loss : {0.01, 0.05, 0.10}) {
         for (const bool multiplexed : {false, true}) {
             const auto out = run_design(multiplexed, loss);
+            all_complete = all_complete && out.ok;
             table.add_row({workload::fmt(loss * 100, 0) + "%",
                            multiplexed ? "4 muxed streams" : "1 shared stream",
                            out.ok ? workload::fmt(to_seconds(out.latency.quantile(0.5)) * 1e3, 2)
@@ -103,5 +106,5 @@ int main() {
         "backlog snowballs, while the muxed streams -- whose losses are\n"
         "repaired independently -- keep draining.  This is the QUIC-streams\n"
         "argument reproduced on the paper's protocol.\n");
-    return 0;
+    return all_complete ? 0 : 1;
 }

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "analysis/models.hpp"
-#include "runtime/tc_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 #include "workload/scenario.hpp"
 

@@ -14,7 +14,7 @@
 
 #include "analysis/models.hpp"
 #include "parallel_sweep.hpp"
-#include "runtime/ba_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 #include "workload/scenario.hpp"
 

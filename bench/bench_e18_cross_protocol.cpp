@@ -15,9 +15,7 @@
 
 #include "json_out.hpp"
 #include "parallel_sweep.hpp"
-#include "runtime/ba_session.hpp"
-#include "runtime/gbn_session.hpp"
-#include "runtime/sr_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 
 using namespace bacp;

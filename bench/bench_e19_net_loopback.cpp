@@ -29,7 +29,7 @@
 #include <string>
 
 #include "json_out.hpp"
-#include "net/net_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 
 using namespace bacp;

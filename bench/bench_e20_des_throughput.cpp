@@ -36,9 +36,7 @@
 #include <vector>
 
 #include "json_out.hpp"
-#include "runtime/ba_session.hpp"
-#include "runtime/gbn_session.hpp"
-#include "runtime/sr_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 
 // ---- counting allocator hook -----------------------------------------------

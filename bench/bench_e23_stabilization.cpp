@@ -34,9 +34,7 @@
 #include "chaos/crash_restart.hpp"
 #include "chaos/harness.hpp"
 #include "json_out.hpp"
-#include "runtime/ba_session.hpp"
-#include "runtime/gbn_session.hpp"
-#include "runtime/sr_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 
 namespace {

@@ -39,7 +39,7 @@
 #include <string>
 
 #include "json_out.hpp"
-#include "net/net_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 
 // ---- counting allocator hook (same scheme as E20/E21/E22) ------------------

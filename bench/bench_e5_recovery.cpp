@@ -14,7 +14,7 @@
 
 #include <cstdio>
 
-#include "runtime/ba_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 
 using namespace bacp;

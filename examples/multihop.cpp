@@ -6,6 +6,8 @@
 // stream multiplexing over a single shared path.
 //
 //   $ ./multihop [hops] [per_hop_loss]
+//
+// Exits nonzero when any transfer is incomplete.
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +36,7 @@ link::PathConfig make_chain(std::size_t hops, double loss) {
 }
 
 template <typename Path>
-void race(const char* name, std::size_t hops, double loss) {
+bool race(const char* name, std::size_t hops, double loss) {
     sim::Simulator sim;
     Path path(sim, make_chain(hops, loss));
     Seq delivered = 0;
@@ -45,6 +47,7 @@ void race(const char* name, std::size_t hops, double loss) {
                 name, (unsigned long long)delivered, to_seconds(sim.now()),
                 static_cast<double>(path.total_frames()) / 500.0,
                 (unsigned long long)path.total_retransmissions());
+    return delivered == 500 && path.idle();
 }
 
 }  // namespace
@@ -55,8 +58,8 @@ int main(int argc, char** argv) {
 
     std::printf("== %zu-hop chain, %.0f%% loss + 1%% corruption per hop ==\n", hops,
                 loss * 100);
-    race<link::EndToEndPath>("end-to-end", hops, loss);
-    race<link::HopByHopPath>("hop-by-hop", hops, loss);
+    bool complete = race<link::EndToEndPath>("end-to-end", hops, loss);
+    complete = race<link::HopByHopPath>("hop-by-hop", hops, loss) && complete;
 
     std::printf("\n== 3 streams multiplexed over one lossy path ==\n");
     sim::Simulator sim;
@@ -77,10 +80,11 @@ int main(int argc, char** argv) {
     for (Seq stream = 0; stream < 3; ++stream) {
         std::printf("  stream %llu delivered %llu/200 in order\n", (unsigned long long)stream,
                     (unsigned long long)per_stream[stream]);
+        complete = complete && per_stream[stream] == 200;
     }
     std::printf("  shared channels carried %llu data + %llu ack frames, %llu retx\n",
                 (unsigned long long)mux.data_stats().sent,
                 (unsigned long long)mux.ack_stats().sent,
                 (unsigned long long)mux.retransmissions());
-    return 0;
+    return complete && mux.idle() ? 0 : 1;
 }

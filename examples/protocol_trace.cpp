@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "runtime/ba_session.hpp"
+#include "runtime/sessions.hpp"
 #include "sim/diagram.hpp"
 #include "verify/explorer.hpp"
 #include "verify/gbn_system.hpp"

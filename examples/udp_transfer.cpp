@@ -54,10 +54,10 @@
 #include <thread>
 
 #include "common/types.hpp"
-#include "net/net_session.hpp"
 #include "net/offload.hpp"
 #include "net/server.hpp"
 #include "runtime/session_util.hpp"
+#include "runtime/sessions.hpp"
 
 using namespace bacp;
 using namespace bacp::literals;

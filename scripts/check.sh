@@ -20,6 +20,20 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBACP_SANITIZE="$S
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 
+# DES link-layer and duplex smoke runs: the examples and the E13/E14/E15
+# tables run the shared DuplexDriver through link::SimEndpoint.  Each
+# exits nonzero on an incomplete transfer, a payload mismatch or an
+# INCOMPLETE table row, so a broken migration of the DES environment
+# fails here.
+for example in quickstart file_transfer duplex_rpc multihop; do
+    echo "== example smoke: $example =="
+    "$BUILD_DIR"/examples/$example > /dev/null
+done
+for bench in bench_e13_piggyback bench_e14_multihop bench_e15_streams; do
+    echo "== bench smoke: $bench (every row completes) =="
+    (cd "$BUILD_DIR"/bench && ./$bench > /dev/null)
+done
+
 # Example smoke runs: the real-time runtime end to end.  Deterministic
 # replay first, then a small wall-clock UDP transfer with a hard cap so
 # a wedged event loop fails fast instead of hanging CI.

@@ -43,7 +43,14 @@ namespace bacp::ba {
 template <typename SenderT, typename ReceiverT>
 class EngineCore {
 public:
-    struct Options {};
+    struct Options {
+        /// NEGATIVE CONTROLS -- test-suite only.  Each drops one of the
+        /// realistic-timer safety rules below, so
+        /// tests/test_negative_controls.cpp can reproduce the failure the
+        /// rule prevents (DESIGN.md SS5); never set them in real use.
+        bool unsafe_disable_horizon = false;  // drop the send-horizon rule
+        bool unsafe_ungated_resend = false;   // drop the SIV hole-gated resend
+    };
 
     static constexpr bool kRequiresFifo = false;
     static constexpr runtime::TimeoutMode kDefaultTimeoutMode =
@@ -56,8 +63,9 @@ public:
     // plausible-ack mutation flavor on this.
     static constexpr bool kCumulativeAcks = true;
 
-    explicit EngineCore(const runtime::EngineConfig& cfg, Options = {})
-        : w_(cfg.w),
+    explicit EngineCore(const runtime::EngineConfig& cfg, Options options = {})
+        : options_(options),
+          w_(cfg.w),
           sender_(cfg.w),
           receiver_(cfg.w),
           adaptive_(cfg.adaptive_window),
@@ -79,6 +87,7 @@ public:
     bool can_send_new() const { return sender_.can_send_new(); }
 
     SimTime send_blocked_until(SimTime now) {
+        if (options_.unsafe_disable_horizon) return now;
         return horizon_.blocks(ghost_ns_, now) ? horizon_.until() : now;
     }
 
@@ -182,6 +191,7 @@ public:
     bool timeout_eligible(Seq true_seq, bool oracle) const {
         const Seq field = wire_of(true_seq);
         if (oracle) return !receiver_can_still_ack(field);
+        if (options_.unsafe_ungated_resend) return true;
         return true_seq == ghost_na() || sender_.acked_beyond(field);
     }
 
@@ -466,6 +476,7 @@ private:
         }
     }
 
+    Options options_;
     Seq w_;
     SenderT sender_;
     ReceiverT receiver_;

@@ -76,7 +76,7 @@ public:
     /// "hole").  Because the receiver acknowledges in order only, a hole
     /// proves the receiver accepted i and the ack was lost -- the
     /// realistic per-message timeout uses this as its resend gate (see
-    /// runtime/ba_session.hpp).
+    /// ba::EngineCore::timeout_eligible).
     bool acked_beyond(Seq i) const;
 
     /// Action 2/2': the retransmitted copy of message \p i.  The sender's

@@ -5,6 +5,18 @@
 
 namespace bacp::link {
 
+ByteChannel::Config ByteChannel::config_for(const runtime::LinkSpec& spec) {
+    BACP_ASSERT_MSG(!spec.fifo && !spec.track_contents,
+                    "byte channels model neither FIFO order nor content tracking");
+    sim::SimChannel::Config models = spec.make_config();
+    Config config;
+    config.loss = std::move(models.loss);
+    config.delay = std::move(models.delay);
+    config.service_time = models.service_time;
+    config.queue_capacity = models.queue_capacity;
+    return config;
+}
+
 ByteChannel::ByteChannel(sim::Simulator& sim, Rng& rng, Config config, std::string name)
     : sim_(sim),
       rng_(rng),

@@ -18,6 +18,7 @@
 #include "channel/delay_model.hpp"
 #include "channel/loss_model.hpp"
 #include "common/rng.hpp"
+#include "runtime/link_spec.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp::link {
@@ -48,6 +49,11 @@ public:
         SimTime service_per_byte = 0;
         std::size_t queue_capacity = 64;
     };
+
+    /// The loss, delay and bottleneck models a runtime::LinkSpec
+    /// describes (its fifo and track_contents flags have no byte-channel
+    /// counterpart and must be off).
+    static Config config_for(const runtime::LinkSpec& spec);
 
     ByteChannel(sim::Simulator& sim, Rng& rng, Config config, std::string name = "B");
 

@@ -1,47 +1,45 @@
 #pragma once
 
 /// \file link_endpoints.hpp
-/// Composable one-direction link endpoints.
+/// Composable link endpoints for the DES.
 ///
-/// LinkSender originates payload-bearing DATA frames and consumes
-/// ACK/NAK frames; LinkReceiver consumes DATA frames and originates
-/// ACK/NAK frames.  Unlike ReliableLink (which bundles both ends and the
-/// channels for the common point-to-point case), the endpoints bind to
-/// *externally owned* ByteChannels, so arbitrary topologies can be built:
-/// multi-hop relay paths, hop-by-hop reliability chains, asymmetric
-/// routes (see examples/multihop.cpp and bench_e14_multihop).
+/// A LinkEndpoint is one end of a reliable byte link: a SimEndpoint
+/// running the fully bounded protocol (SV) behind the shared LinkFront.
+/// It sends every frame on one *externally owned* outbound ByteChannel
+/// and takes inbound frames through on_frame(), so arbitrary topologies
+/// can be built: multi-hop relay paths, hop-by-hop reliability chains,
+/// asymmetric routes, stream multiplexes (see multihop.hpp,
+/// stream_mux.hpp, reliable_link.hpp).
 ///
-/// Both run the paper's fully bounded protocol (SV) with the realistic
-/// disciplines of PROTOCOL.md SS6: conservative per-message timers,
-/// hole-gated retransmission, SACK-style ack clipping, the send-horizon
-/// rule, and optional NAK fast retransmit.
+/// An endpoint is open-ended in both directions: send() feeds its
+/// sending half and DATA from the peer feeds its receiving half.  The
+/// topology makes it one-way -- a sender's outbound channel carries its
+/// DATA, a receiver's carries its ACK/NAK frames.  Every protocol rule
+/// (conservative per-message timers, hole-gated retransmission, ack
+/// clipping, the send horizon, optional NAK fast retransmit) is the
+/// shared runtime driver's and ba::EngineCore's.
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "ba/bounded_receiver.hpp"
-#include "ba/bounded_sender.hpp"
 #include "common/types.hpp"
 #include "link/byte_channel.hpp"
+#include "link/link_front.hpp"
+#include "link/sim_endpoint.hpp"
 #include "runtime/ack_policy.hpp"
+#include "runtime/endpoint_driver.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timer.hpp"
+#include "wire/frame.hpp"
 
 namespace bacp::link {
-
-/// "No stream tag" sentinel (mirrors wire::kNoStream).
-inline constexpr Seq kUntaggedStream = ~Seq{0};
 
 /// Shared endpoint parameters.
 struct EndpointConfig {
     Seq w = 16;
-    /// When not kUntaggedStream, every emitted frame carries this stream
+    /// When not wire::kNoStream, every emitted frame carries this stream
     /// id (kFlagStream); used by StreamMux to share one channel pair.
-    Seq stream = kUntaggedStream;
+    Seq stream = wire::kNoStream;
     /// Upper bound on one-way frame transit time over the path between
     /// the endpoints (propagation + queueing + relays).  Drives the
     /// conservative timeout, the send-horizon rule, and NAK gating.
@@ -52,97 +50,68 @@ struct EndpointConfig {
     Seq nak_threshold = 3;
 };
 
-class LinkSender {
+class LinkEndpoint {
 public:
-    /// \p data_out carries DATA frames toward the receiver; incoming
-    /// ACK/NAK frames must be fed to on_frame() by the owner.
-    LinkSender(sim::Simulator& sim, ByteChannel& data_out, EndpointConfig config);
-    LinkSender(const LinkSender&) = delete;
-    LinkSender& operator=(const LinkSender&) = delete;
+    using DeliverFn = LinkFront<SimEndpoint<LinkCore>>::DeliverFn;
 
-    /// Enqueues a payload for reliable transmission.
-    void send(std::vector<std::uint8_t> payload);
+    /// \p out carries every frame this endpoint emits toward its peer;
+    /// the owner feeds the peer's frames to on_frame().
+    LinkEndpoint(sim::Simulator& sim, ByteChannel& out, const EndpointConfig& cfg,
+                 LinkCore::Options options = {})
+        : endpoint_(sim, out, engine_config(cfg), runtime::DuplexSpec{runtime::kUnboundedCount},
+                    options, cfg.stream),
+          front_(endpoint_) {
+        endpoint_.start();
+    }
 
-    /// Feeds one frame arriving on the reverse path (ACK or NAK).
-    void on_frame(const ByteChannel::Frame& frame);
+    LinkEndpoint(const LinkEndpoint&) = delete;
+    LinkEndpoint& operator=(const LinkEndpoint&) = delete;
 
-    std::size_t queued() const { return queue_.size(); }
-    Seq sent_count() const { return ghost_ns_; }
-    bool idle() const { return queue_.empty() && sender_.outstanding() == 0; }
-    std::uint64_t retransmissions() const { return retransmissions_; }
-    std::uint64_t fast_retransmissions() const { return fast_retx_; }
-    std::uint64_t frames_rejected() const { return frames_rejected_; }
-    SimTime timeout_value() const { return timeout_; }
+    void set_on_deliver(DeliverFn fn) { front_.set_on_deliver(std::move(fn)); }
+
+    /// Enqueues a payload for reliable, in-order transmission.
+    void send(std::vector<std::uint8_t> payload) { front_.send(std::move(payload)); }
+
+    /// Feeds one frame arriving from the peer.
+    void on_frame(const ByteChannel::Frame& frame) { endpoint_.on_frame(frame); }
+
+    /// Payloads accepted but not yet handed to the protocol window.
+    std::size_t queued() const { return front_.accepted() - endpoint_.sent_new(); }
+    /// Payloads handed to the protocol so far.
+    Seq sent_count() const { return endpoint_.sent_new(); }
+    /// Payloads delivered in order from the peer.
+    Seq delivered_count() const { return front_.delivered(); }
+    /// Everything sent has been delivered and acknowledged.
+    bool idle() const { return front_.idle(); }
+
+    std::uint64_t retransmissions() const { return endpoint_.tx_metrics().data_retx; }
+    std::uint64_t fast_retransmissions() const { return endpoint_.tx_metrics().fast_retx; }
+    std::uint64_t naks_sent() const { return endpoint_.rx_metrics().naks_sent; }
+    /// Frames rejected by the CRC / codec or as impossible for the
+    /// protocol (treated as losses).
+    std::uint64_t frames_rejected() const {
+        return endpoint_.tx_metrics().decode_errors + endpoint_.rx_metrics().decode_errors;
+    }
+    SimTime timeout_value() const { return endpoint_.timeout_value(); }
 
 private:
-    void pump();
-    bool horizon_blocks();
-    void note_horizon(Seq true_seq);
-    void transmit(Seq true_seq, bool retx);
-    void per_message_fire(Seq true_seq);
-    void rescan_matured();
-    void on_nak(Seq residue);
+    static runtime::EngineConfig engine_config(const EndpointConfig& cfg) {
+        runtime::EngineConfig e;
+        e.w = cfg.w;
+        e.count = runtime::kUnboundedCount;
+        e.app_arrivals = true;  // send() gates the window
+        e.timeout = cfg.timeout;
+        e.ack_policy = cfg.ack_policy;
+        // The cores and the derived timeout consult only the lifetime.
+        e.data_link = runtime::LinkSpec::lossless(0, cfg.path_lifetime);
+        e.ack_link = runtime::LinkSpec::lossless(0, cfg.path_lifetime);
+        e.enable_nak = cfg.enable_nak;
+        e.nak_threshold = cfg.nak_threshold;
+        return e;
+    }
 
-    EndpointConfig cfg_;
-    sim::Simulator& sim_;
-    ByteChannel& data_out_;
-    ba::BoundedSender sender_;
-    sim::Timer horizon_timer_;
-    SimTime timeout_ = 0;
-
-    std::deque<std::vector<std::uint8_t>> queue_;
-    std::unordered_map<Seq, std::vector<std::uint8_t>> window_payloads_;
-    std::unordered_map<Seq, SimTime> last_tx_;
-    Seq ghost_na_ = 0;
-    Seq ghost_ns_ = 0;
-    static constexpr Seq kNoCap = ~Seq{0};
-    SimTime horizon_until_ = 0;
-    Seq horizon_cap_ = kNoCap;
-    std::uint64_t retransmissions_ = 0;
-    std::uint64_t fast_retx_ = 0;
-    std::uint64_t frames_rejected_ = 0;
-};
-
-class LinkReceiver {
-public:
-    using DeliverFn = std::function<void(std::span<const std::uint8_t>)>;
-
-    /// \p ack_out carries ACK/NAK frames back toward the sender; incoming
-    /// DATA frames must be fed to on_frame() by the owner.
-    LinkReceiver(sim::Simulator& sim, ByteChannel& ack_out, EndpointConfig config);
-    LinkReceiver(const LinkReceiver&) = delete;
-    LinkReceiver& operator=(const LinkReceiver&) = delete;
-
-    void set_on_deliver(DeliverFn fn) { on_deliver_ = std::move(fn); }
-
-    /// Feeds one frame arriving on the forward path (DATA).
-    void on_frame(const ByteChannel::Frame& frame);
-
-    Seq delivered_count() const { return delivered_; }
-    std::uint64_t frames_rejected() const { return frames_rejected_; }
-    std::uint64_t naks_sent() const { return naks_sent_; }
-
-private:
-    void flush_ack();
-    void send_ack_frame(Seq lo, Seq hi);
-    void maybe_send_nak();
-
-    EndpointConfig cfg_;
-    sim::Simulator& sim_;
-    ByteChannel& ack_out_;
-    ba::BoundedReceiver receiver_;
-    sim::Timer ack_flush_timer_;
-    DeliverFn on_deliver_;
-
-    std::unordered_map<Seq, std::vector<std::uint8_t>> reorder_buffer_;
-    Seq ghost_nr_ = 0;
-    Seq ghost_vr_ = 0;
-    Seq delivered_ = 0;
-    std::uint64_t frames_rejected_ = 0;
-    std::uint64_t naks_sent_ = 0;
-    Seq ooo_since_advance_ = 0;
-    Seq last_nak_field_ = ~Seq{0};
-    SimTime last_nak_time_ = 0;
+    SimEndpoint<LinkCore> endpoint_;
+    LinkFront<SimEndpoint<LinkCore>> front_;
 };
 
 /// Store-and-forward frame relay: accepts frames from an upstream channel

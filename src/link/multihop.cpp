@@ -1,15 +1,11 @@
 #include "link/multihop.hpp"
 
 #include "common/assert.hpp"
+#include "runtime/session_util.hpp"
 
 namespace bacp::link {
 
 namespace {
-
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-    std::uint64_t s = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-    return splitmix64(s);
-}
 
 ByteChannel::Config hop_channel(const HopSpec& hop) {
     ByteChannel::Config config;
@@ -34,11 +30,11 @@ EndToEndPath::EndToEndPath(sim::Simulator& sim, PathConfig config) {
     BACP_ASSERT_MSG(!config.hops.empty(), "a path needs at least one hop");
     const std::size_t k = config.hops.size();
     for (std::size_t i = 0; i < k; ++i) {
-        rngs_.push_back(std::make_unique<Rng>(mix_seed(config.seed, 2 * i)));
+        rngs_.push_back(std::make_unique<Rng>(runtime::mix_seed(config.seed, 2 * i)));
         forward_.push_back(std::make_unique<ByteChannel>(sim, *rngs_.back(),
                                                          hop_channel(config.hops[i]),
                                                          "f" + std::to_string(i)));
-        rngs_.push_back(std::make_unique<Rng>(mix_seed(config.seed, 2 * i + 1)));
+        rngs_.push_back(std::make_unique<Rng>(runtime::mix_seed(config.seed, 2 * i + 1)));
         reverse_.push_back(std::make_unique<ByteChannel>(sim, *rngs_.back(),
                                                          hop_channel(config.hops[i]),
                                                          "r" + std::to_string(i)));
@@ -50,8 +46,8 @@ EndToEndPath::EndToEndPath(sim::Simulator& sim, PathConfig config) {
     endpoint.ack_policy = config.ack_policy;
     endpoint.enable_nak = config.enable_nak;
 
-    tx_ = std::make_unique<LinkSender>(sim, *forward_.front(), endpoint);
-    rx_ = std::make_unique<LinkReceiver>(sim, *reverse_.back(), endpoint);
+    tx_ = std::make_unique<LinkEndpoint>(sim, *forward_.front(), endpoint);
+    rx_ = std::make_unique<LinkEndpoint>(sim, *reverse_.back(), endpoint);
 
     // Forward chain: hop i delivers into a relay feeding hop i+1; the last
     // hop delivers to the receiver.
@@ -93,8 +89,8 @@ HopByHopPath::HopByHopPath(sim::Simulator& sim, PathConfig config) {
     hops_.resize(k);
     for (std::size_t i = 0; i < k; ++i) {
         Hop& hop = hops_[i];
-        hop.fwd_rng = std::make_unique<Rng>(mix_seed(config.seed, 100 + 2 * i));
-        hop.rev_rng = std::make_unique<Rng>(mix_seed(config.seed, 101 + 2 * i));
+        hop.fwd_rng = std::make_unique<Rng>(runtime::mix_seed(config.seed, 100 + 2 * i));
+        hop.rev_rng = std::make_unique<Rng>(runtime::mix_seed(config.seed, 101 + 2 * i));
         hop.forward = std::make_unique<ByteChannel>(sim, *hop.fwd_rng,
                                                     hop_channel(config.hops[i]),
                                                     "hf" + std::to_string(i));
@@ -106,8 +102,8 @@ HopByHopPath::HopByHopPath(sim::Simulator& sim, PathConfig config) {
         endpoint.path_lifetime = config.hops[i].delay_hi;
         endpoint.ack_policy = config.ack_policy;
         endpoint.enable_nak = config.enable_nak;
-        hop.tx = std::make_unique<LinkSender>(sim, *hop.forward, endpoint);
-        hop.rx = std::make_unique<LinkReceiver>(sim, *hop.reverse, endpoint);
+        hop.tx = std::make_unique<LinkEndpoint>(sim, *hop.forward, endpoint);
+        hop.rx = std::make_unique<LinkEndpoint>(sim, *hop.reverse, endpoint);
         hop.forward->set_receiver(
             [rx = hop.rx.get()](const ByteChannel::Frame& frame) { rx->on_frame(frame); });
         hop.reverse->set_receiver(
@@ -117,7 +113,7 @@ HopByHopPath::HopByHopPath(sim::Simulator& sim, PathConfig config) {
     // hop (store-and-forward with per-hop reliability); the final hop
     // delivers to the application.
     for (std::size_t i = 0; i + 1 < k; ++i) {
-        LinkSender* next = hops_[i + 1].tx.get();
+        LinkEndpoint* next = hops_[i + 1].tx.get();
         hops_[i].rx->set_on_deliver([next](std::span<const std::uint8_t> payload) {
             next->send(std::vector<std::uint8_t>(payload.begin(), payload.end()));
         });

@@ -51,7 +51,7 @@ struct PathConfig {
 /// Common surface of the two architectures.
 class MultihopPath {
 public:
-    using DeliverFn = LinkReceiver::DeliverFn;
+    using DeliverFn = LinkEndpoint::DeliverFn;
 
     virtual ~MultihopPath() = default;
     virtual void send(std::vector<std::uint8_t> payload) = 0;
@@ -80,8 +80,8 @@ private:
     std::vector<std::unique_ptr<ByteChannel>> forward_;  // hop i: node i -> i+1
     std::vector<std::unique_ptr<ByteChannel>> reverse_;  // hop i: node i+1 -> i
     std::vector<std::unique_ptr<FrameRelay>> relays_;    // keep-alive storage
-    std::unique_ptr<LinkSender> tx_;
-    std::unique_ptr<LinkReceiver> rx_;
+    std::unique_ptr<LinkEndpoint> tx_;  // at the source, DATA onto hop 0
+    std::unique_ptr<LinkEndpoint> rx_;  // at the sink, ACK/NAK onto the last hop
 };
 
 class HopByHopPath final : public MultihopPath {
@@ -104,8 +104,8 @@ private:
         std::unique_ptr<Rng> rev_rng;
         std::unique_ptr<ByteChannel> forward;
         std::unique_ptr<ByteChannel> reverse;
-        std::unique_ptr<LinkSender> tx;   // at the hop's upstream node
-        std::unique_ptr<LinkReceiver> rx; // at the hop's downstream node
+        std::unique_ptr<LinkEndpoint> tx;  // at the hop's upstream node
+        std::unique_ptr<LinkEndpoint> rx;  // at the hop's downstream node
     };
 
     std::vector<Hop> hops_;

@@ -11,10 +11,11 @@
 /// socket: a NetReliableLink is duplex, and with piggyback on its acks
 /// ride the reverse DATA as wire type 4 frames.
 ///
-/// Payload flow uses the endpoint's source/sink hooks.  Sends are
-/// application-gated (EngineConfig::app_arrivals): send() stores the
-/// bytes, then releases one message into the window, so the payload
-/// source can always serve a retransmission of any outstanding seq.
+/// Payload flow is the LinkFront the DES link endpoints use too: sends
+/// are application-gated (EngineConfig::app_arrivals), and send() queues
+/// the bytes before releasing one message into the window, so the
+/// payload source can always serve a retransmission of any outstanding
+/// seq.
 ///
 /// NetStreamMux runs several NetReliableLinks over ONE shared transport,
 /// each tagged with a wire stream id (kFlagStream), and demuxes inbound
@@ -31,11 +32,9 @@
 #include <utility>
 #include <vector>
 
-#include "ba/bounded_receiver.hpp"
-#include "ba/bounded_sender.hpp"
-#include "ba/engine_core.hpp"
 #include "common/assert.hpp"
 #include "common/types.hpp"
+#include "link/link_front.hpp"
 #include "net/net_engine.hpp"
 #include "net/timer_wheel.hpp"
 #include "net/transport.hpp"
@@ -44,9 +43,7 @@
 
 namespace bacp::link {
 
-/// The fully bounded protocol, as link::ReliableLink runs it.
-using NetLinkCore = ba::EngineCore<ba::BoundedSender, ba::BoundedReceiver>;
-using NetLinkEndpoint = net::NetEndpoint<NetLinkCore>;
+using NetLinkEndpoint = net::NetEndpoint<LinkCore>;
 
 /// One duplex reliable byte link over a real transport.  Wire a pair of
 /// these over the two ends of a transport pair (InprocTransport for
@@ -72,28 +69,18 @@ public:
         std::size_t batch = 0;           // 0 = window-sized; mux uses 1
     };
 
-    using DeliverFn = std::function<void(std::span<const std::uint8_t>)>;
+    using DeliverFn = LinkFront<NetLinkEndpoint>::DeliverFn;
 
     /// \p wheel and \p transport must outlive the link; poll() fires the
     /// wheel, so a link (or its owning mux) is single-threaded.
     NetReliableLink(const Config& cfg, net::TimerWheel& wheel, net::Transport& transport)
-        : cfg_(cfg), endpoint_(net_config(cfg), {}, wheel, transport) {
-        sent_.reserve(cfg.count);
-        endpoint_.set_payload_source([this](Seq seq, std::vector<std::uint8_t>& out) {
-            BACP_ASSERT_MSG(seq < sent_.size(), "payload requested before queued");
-            out.assign(sent_[seq].begin(), sent_[seq].end());
-        });
-        endpoint_.set_deliver_sink([this](Seq, std::span<const std::uint8_t> payload) {
-            ++delivered_;
-            if (on_deliver_) on_deliver_(payload);
-        });
-    }
+        : cfg_(cfg), endpoint_(net_config(cfg), {}, wheel, transport), front_(endpoint_) {}
 
     NetReliableLink(const NetReliableLink&) = delete;
     NetReliableLink& operator=(const NetReliableLink&) = delete;
 
     /// Registers the in-order delivery callback (call before start()).
-    void set_on_deliver(DeliverFn fn) { on_deliver_ = std::move(fn); }
+    void set_on_deliver(DeliverFn fn) { front_.set_on_deliver(std::move(fn)); }
 
     /// Call once before the poll loop.
     void start() { endpoint_.start(); }
@@ -101,10 +88,9 @@ public:
     /// Queues one payload for reliable, in-order transmission and pumps
     /// the window (frames may egress from inside this call).
     void send(std::vector<std::uint8_t> payload) {
-        BACP_ASSERT_MSG(sent_.size() < cfg_.count, "more sends than Config.count");
+        BACP_ASSERT_MSG(front_.accepted() < cfg_.count, "more sends than Config.count");
         BACP_ASSERT_MSG(payload.size() <= cfg_.max_payload, "payload exceeds max_payload");
-        sent_.push_back(std::move(payload));
-        endpoint_.release(1);
+        front_.send(std::move(payload));
     }
 
     /// One event-loop iteration (timers, ingress, egress flush).
@@ -114,8 +100,8 @@ public:
     /// arrival delivered.
     bool done() const { return endpoint_.done(); }
 
-    Seq sent_count() const { return static_cast<Seq>(sent_.size()); }
-    Seq delivered_count() const { return delivered_; }
+    Seq sent_count() const { return front_.accepted(); }
+    Seq delivered_count() const { return front_.delivered(); }
 
     NetLinkEndpoint& endpoint() { return endpoint_; }
     const NetLinkEndpoint& endpoint() const { return endpoint_; }
@@ -141,9 +127,7 @@ private:
 
     Config cfg_;
     NetLinkEndpoint endpoint_;
-    std::vector<std::vector<std::uint8_t>> sent_;  // random access for retx
-    Seq delivered_ = 0;
-    DeliverFn on_deliver_;
+    LinkFront<NetLinkEndpoint> front_;
 };
 
 /// Several independent reliable streams over one shared transport: the

@@ -5,12 +5,14 @@
 ///
 /// A ReliableLink accepts arbitrary byte payloads and delivers them to the
 /// far side *in order, exactly once*, over unreliable channels that may
-/// lose, reorder, and corrupt frames.  Internally it runs the paper's
-/// fully bounded protocol (SV): sequence numbers travel as residues mod
-/// n = 2w (one varint byte for windows up to 64), block acknowledgments
-/// cover whole runs, per-message conservative timers recover losses, and
-/// the CRC-32C frame codec turns corruption into loss -- the only failure
-/// mode the protocol's proof needs to handle.
+/// lose, reorder, and corrupt frames.  It is a pair of LinkEndpoints over
+/// two ByteChannels it owns: the sending end emits DATA on the data
+/// channel, the receiving end ACK/NAK frames on the ack channel.  Both run
+/// the paper's fully bounded protocol (SV): sequence numbers travel as
+/// residues mod n = 2w (one varint byte for windows up to 64), block
+/// acknowledgments cover whole runs, per-message conservative timers
+/// recover losses, and the CRC-32C frame codec turns corruption into loss
+/// -- the only failure mode the protocol's proof needs to handle.
 ///
 /// Usage sketch (see examples/quickstart.cpp):
 ///
@@ -21,20 +23,14 @@
 ///   sim.run();
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "ba/bounded_receiver.hpp"
-#include "ba/bounded_sender.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "link/byte_channel.hpp"
+#include "link/link_endpoints.hpp"
 #include "runtime/ack_policy.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timer.hpp"
 
 namespace bacp::link {
 
@@ -53,98 +49,51 @@ public:
         /// after nak_threshold out-of-order arrivals (see DESIGN.md).
         bool enable_nak = false;
         Seq nak_threshold = 3;
-        /// NEGATIVE CONTROLS -- test-suite only.  Disabling these safety
-        /// rules must reproduce the failures they exist to prevent
-        /// (documented in DESIGN.md SS5); never set them in real use.
-        bool unsafe_disable_horizon = false;   // drop the send-horizon rule
-        bool unsafe_ungated_resend = false;    // drop the hole-gated resend rule
     };
 
-    using DeliverFn = std::function<void(std::span<const std::uint8_t>)>;
+    using DeliverFn = LinkEndpoint::DeliverFn;
 
-    ReliableLink(sim::Simulator& sim, Config config);
+    /// \p options reaches both endpoints' cores (the negative controls
+    /// of tests/test_negative_controls.cpp live there).
+    ReliableLink(sim::Simulator& sim, Config config, LinkCore::Options options = {});
     ReliableLink(const ReliableLink&) = delete;
     ReliableLink& operator=(const ReliableLink&) = delete;
 
     /// Registers the in-order delivery callback (call before sending).
-    void set_on_deliver(DeliverFn fn) { on_deliver_ = std::move(fn); }
+    void set_on_deliver(DeliverFn fn) { rx_.set_on_deliver(std::move(fn)); }
 
     /// Enqueues one payload for reliable, in-order transmission.
-    void send(std::vector<std::uint8_t> payload);
+    void send(std::vector<std::uint8_t> payload) { tx_.send(std::move(payload)); }
 
     /// Payloads accepted but not yet handed to the protocol window.
-    std::size_t queued() const { return queue_.size(); }
+    std::size_t queued() const { return tx_.queued(); }
     /// Payloads handed to the protocol so far.
-    Seq sent_count() const { return ghost_ns_; }
+    Seq sent_count() const { return tx_.sent_count(); }
     /// Payloads delivered in order at the far side.
-    Seq delivered_count() const { return delivered_; }
+    Seq delivered_count() const { return rx_.delivered_count(); }
     /// Everything enqueued has been delivered and acknowledged.
-    bool idle() const { return queue_.empty() && sender_.outstanding() == 0; }
+    bool idle() const { return tx_.idle(); }
 
     /// Frames rejected by the CRC / codec (treated as losses).
-    std::uint64_t frames_rejected() const { return frames_rejected_; }
-    std::uint64_t retransmissions() const { return retransmissions_; }
-    std::uint64_t naks_sent() const { return naks_sent_; }
-    std::uint64_t fast_retransmissions() const { return fast_retx_; }
+    std::uint64_t frames_rejected() const { return tx_.frames_rejected() + rx_.frames_rejected(); }
+    std::uint64_t retransmissions() const { return tx_.retransmissions(); }
+    std::uint64_t naks_sent() const { return rx_.naks_sent(); }
+    std::uint64_t fast_retransmissions() const { return tx_.fast_retransmissions(); }
     const ByteChannelStats& data_stats() const { return data_ch_.stats(); }
     const ByteChannelStats& ack_stats() const { return ack_ch_.stats(); }
-    SimTime timeout_value() const { return timeout_; }
+    SimTime timeout_value() const { return tx_.timeout_value(); }
 
 private:
-    ByteChannel::Config channel_config();
-
-    void pump();
-    bool horizon_blocks();
-    void note_horizon(Seq true_seq);
-    void transmit(Seq true_seq, bool retx);
-    void per_message_fire(Seq true_seq);
-    void rescan_matured();
-    void on_data_frame(const ByteChannel::Frame& frame);
-    void on_ack_frame(const ByteChannel::Frame& frame);
-    void on_nak(Seq residue);
-    void maybe_send_nak();
-    void flush_ack();
-    void send_ack_frame(Seq lo, Seq hi);
+    ByteChannel::Config channel_config() const;
+    EndpointConfig endpoint_config() const;
 
     Config cfg_;
-    sim::Simulator& sim_;
     Rng rng_data_;
     Rng rng_ack_;
-    ba::BoundedSender sender_;
-    ba::BoundedReceiver receiver_;
     ByteChannel data_ch_;
     ByteChannel ack_ch_;
-    sim::Timer ack_flush_timer_;
-    sim::Timer horizon_timer_;
-    DeliverFn on_deliver_;
-    SimTime timeout_ = 0;
-
-    static constexpr Seq kNoCap = ~Seq{0};
-    SimTime horizon_until_ = 0;  // send-horizon expiry (see note_horizon)
-    Seq horizon_cap_ = kNoCap;
-
-    // Sender side.
-    std::deque<std::vector<std::uint8_t>> queue_;   // not yet in the window
-    std::unordered_map<Seq, std::vector<std::uint8_t>> window_payloads_;  // true seq
-    std::unordered_map<Seq, SimTime> last_tx_;      // true seq -> last tx time
-    Seq ghost_na_ = 0;  // true na (the bounded core stores only residues)
-    Seq ghost_ns_ = 0;  // true ns
-
-    // Receiver side.
-    std::unordered_map<Seq, std::vector<std::uint8_t>> reorder_buffer_;  // true seq
-    Seq ghost_nr_ = 0;  // true nr
-    Seq ghost_vr_ = 0;  // true vr
-    Seq delivered_ = 0;
-
-    std::uint64_t frames_rejected_ = 0;
-    std::uint64_t retransmissions_ = 0;
-
-    // NAK extension state.
-    std::uint64_t naks_sent_ = 0;
-    std::uint64_t fast_retx_ = 0;
-    Seq ooo_since_advance_ = 0;
-    Seq last_nak_field_ = ~Seq{0};
-    SimTime last_nak_time_ = 0;
+    LinkEndpoint tx_;  // sends on data_ch_
+    LinkEndpoint rx_;  // acks on ack_ch_
 };
 
 }  // namespace bacp::link

@@ -1,16 +1,10 @@
 #include "link/stream_mux.hpp"
 
 #include "common/assert.hpp"
+#include "runtime/session_util.hpp"
 #include "wire/codec.hpp"
 
 namespace bacp::link {
-
-namespace {
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-    std::uint64_t s = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-    return splitmix64(s);
-}
-}  // namespace
 
 ByteChannel::Config StreamMux::data_config() const {
     ByteChannel::Config config;
@@ -32,8 +26,8 @@ ByteChannel::Config StreamMux::ack_config() const {
 
 StreamMux::StreamMux(sim::Simulator& sim, Config config)
     : cfg_(std::move(config)),
-      rng_data_(mix_seed(cfg_.seed, 0xd1)),
-      rng_ack_(mix_seed(cfg_.seed, 0xac)),
+      rng_data_(runtime::mix_seed(cfg_.seed, 0xd1)),
+      rng_ack_(runtime::mix_seed(cfg_.seed, 0xac)),
       data_ch_(sim, rng_data_, data_config(), "mux-data"),
       ack_ch_(sim, rng_ack_, ack_config(), "mux-ack") {
     BACP_ASSERT_MSG(cfg_.streams >= 1, "need at least one stream");
@@ -48,8 +42,8 @@ StreamMux::StreamMux(sim::Simulator& sim, Config config)
     endpoint.enable_nak = cfg_.enable_nak;
     for (Seq id = 0; id < cfg_.streams; ++id) {
         endpoint.stream = id;
-        tx_.push_back(std::make_unique<LinkSender>(sim, data_ch_, endpoint));
-        rx_.push_back(std::make_unique<LinkReceiver>(sim, ack_ch_, endpoint));
+        tx_.push_back(std::make_unique<LinkEndpoint>(sim, data_ch_, endpoint));
+        rx_.push_back(std::make_unique<LinkEndpoint>(sim, ack_ch_, endpoint));
         rx_.back()->set_on_deliver([this, id](std::span<const std::uint8_t> payload) {
             if (on_deliver_) on_deliver_(id, payload);
         });
@@ -65,15 +59,15 @@ void StreamMux::send(Seq stream, std::vector<std::uint8_t> payload) {
 
 Seq StreamMux::classify(const ByteChannel::Frame& frame) const {
     const auto decoded = wire::decode(std::span<const std::uint8_t>(frame.data(), frame.size()));
-    if (!decoded.ok()) return kUntaggedStream;
+    if (!decoded.ok()) return wire::kNoStream;
     const Seq stream = wire::stream_of(decoded.frame());
-    if (stream >= cfg_.streams) return kUntaggedStream;
+    if (stream >= cfg_.streams) return wire::kNoStream;
     return stream;
 }
 
 void StreamMux::on_data_frame(const ByteChannel::Frame& frame) {
     const Seq stream = classify(frame);
-    if (stream == kUntaggedStream) {
+    if (stream == wire::kNoStream) {
         ++misdirected_;
         return;  // corrupted frames count as loss, exactly like point-to-point
     }
@@ -82,7 +76,7 @@ void StreamMux::on_data_frame(const ByteChannel::Frame& frame) {
 
 void StreamMux::on_ack_frame(const ByteChannel::Frame& frame) {
     const Seq stream = classify(frame);
-    if (stream == kUntaggedStream) {
+    if (stream == wire::kNoStream) {
         ++misdirected_;
         return;
     }

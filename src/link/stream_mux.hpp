@@ -3,8 +3,9 @@
 /// \file stream_mux.hpp
 /// Several independent reliable streams over one channel pair.
 ///
-/// Each stream runs its own bounded block-acknowledgment instance
-/// (LinkSender/LinkReceiver tagged with a wire stream id); the mux owns
+/// Each stream runs its own bounded block-acknowledgment instance (a
+/// sending and a receiving LinkEndpoint tagged with a wire stream id);
+/// the mux owns
 /// the shared data/ack ByteChannels -- optionally a common bottleneck --
 /// and dispatches inbound frames by stream id.
 ///
@@ -69,7 +70,7 @@ private:
     ByteChannel::Config ack_config() const;
     void on_data_frame(const ByteChannel::Frame& frame);
     void on_ack_frame(const ByteChannel::Frame& frame);
-    /// Stream id of a valid frame, or kUntaggedStream when undecodable /
+    /// Stream id of a valid frame, or wire::kNoStream when undecodable /
     /// untagged / out of range.
     Seq classify(const ByteChannel::Frame& frame) const;
 
@@ -78,8 +79,8 @@ private:
     Rng rng_ack_;
     ByteChannel data_ch_;
     ByteChannel ack_ch_;
-    std::vector<std::unique_ptr<LinkSender>> tx_;
-    std::vector<std::unique_ptr<LinkReceiver>> rx_;
+    std::vector<std::unique_ptr<LinkEndpoint>> tx_;  // DATA onto data_ch_
+    std::vector<std::unique_ptr<LinkEndpoint>> rx_;  // ACK/NAK onto ack_ch_
     DeliverFn on_deliver_;
     std::uint64_t misdirected_ = 0;
 };

@@ -22,12 +22,14 @@
 ///
 /// All timeout disciplines, window pumping, ack policy, resend
 /// selection, and the ack-deferral policy live in the runtime layer
-/// (runtime/endpoint_driver.hpp, runtime/duplex_driver.hpp); this class
-/// only encodes/decodes, batches, stashes payloads, and counts
-/// transport-level anomalies.  Every datagram is CRC-32C checked on
-/// receive; a frame that fails decode is counted and dropped, i.e. fed
-/// to the loss tolerance the protocol already has -- exactly the channel
-/// model the paper's proof assumes.
+/// (runtime/endpoint_driver.hpp, runtime/duplex_driver.hpp), and the
+/// frame path -- encode/decode, payload stash, delivery hand-off -- is
+/// net::FramePath (net/frame_path.hpp), shared with the DES
+/// link::SimEndpoint; this class only batches, polls, and owns the
+/// receive arena.  Every datagram is CRC-32C checked on receive; a frame
+/// that fails decode is counted and dropped, i.e. fed to the loss
+/// tolerance the protocol already has -- exactly the channel model the
+/// paper's proof assumes.
 ///
 /// This environment advertises kHasOracle = false: real time cannot
 /// prove quiescence, so the driver approximates the oracle timeout modes
@@ -58,8 +60,8 @@
 #include "common/timer_service.hpp"
 #include "common/types.hpp"
 #include "net/clock.hpp"
+#include "net/frame_path.hpp"
 #include "net/impairer.hpp"
-#include "net/payload_stash.hpp"
 #include "net/timer_wheel.hpp"
 #include "net/transport.hpp"
 #include "protocol/message.hpp"
@@ -171,28 +173,6 @@ struct NetConfig : runtime::EngineConfig {
     }
 };
 
-/// Deterministic payload for message \p seq: a splitmix64 stream keyed by
-/// the (true) sequence number, so the receiver can verify every delivered
-/// byte without any side channel.  The fill form writes into caller
-/// memory (the batch slab / a reused scratch) and is what the hot paths
-/// use.
-inline void pattern_fill(Seq seq, std::span<std::uint8_t> payload) {
-    std::uint64_t state = seq ^ 0xba5eba115eedULL;
-    std::size_t i = 0;
-    while (i < payload.size()) {
-        const std::uint64_t word = splitmix64(state);
-        for (int b = 0; b < 8 && i < payload.size(); ++b, ++i) {
-            payload[i] = static_cast<std::uint8_t>(word >> (8 * b));
-        }
-    }
-}
-
-inline std::vector<std::uint8_t> pattern_payload(Seq seq, std::size_t size) {
-    std::vector<std::uint8_t> payload(size);
-    pattern_fill(seq, payload);
-    return payload;
-}
-
 /// One duplex transport endpoint: the environment for a DuplexDriver
 /// over a real transport.  poll() is the event-loop body -- fire due
 /// timers, drain arriving datagrams, flush staged frames -- and must be
@@ -205,11 +185,8 @@ template <runtime::EndpointCore Core>
 class NetEndpoint {
 public:
     using Options = typename Core::Options;
-    /// Fills `out` with the payload of message \p true_seq.  Must be
-    /// random-access: retransmissions re-request any outstanding seq.
-    using PayloadSource = std::function<void(Seq true_seq, std::vector<std::uint8_t>& out)>;
-    /// Consumes the bytes of one in-order delivery.
-    using DeliverSink = std::function<void(Seq true_seq, std::span<const std::uint8_t> payload)>;
+    using PayloadSource = typename FramePath<Core>::PayloadSource;
+    using DeliverSink = typename FramePath<Core>::DeliverSink;
 
     /// \p wheel is this endpoint's (and, when impaired, its Impairer's)
     /// timer wheel; poll() fires it, so both must live on one thread.
@@ -217,6 +194,7 @@ public:
         : cfg_(cfg),
           wheel_(wheel),
           transport_(&transport),
+          frames_(cfg_, cfg_.rx_count, cfg_.payload_size, cfg_.stream, cfg_.conn),
           duplex_(cfg_.engine_config(), cfg_.duplex_spec(), std::move(options), *this) {
         // Worst case live timers: one per outstanding message (per-message
         // mode) plus the simple/quiescence/pacing/ack-flush singletons of
@@ -226,13 +204,6 @@ public:
         if (cfg_.count > 0) timers += static_cast<std::size_t>(cfg_.w) + 4;
         if (cfg_.piggyback) timers += 1;
         wheel_.reserve(timers);
-        // The stash holds at most a window of out-of-order payloads (+1
-        // for the in-flight arrival, so a full window never triggers a
-        // table grow); reserve to worst case so the first loss burst
-        // (which may come long after warmup) allocates nothing.
-        if (cfg_.rx_count > 0) {
-            stash_.reserve_buffers(static_cast<std::size_t>(cfg_.w) + 1, cfg_.payload_size);
-        }
         // One tick can stage a timeout burst of DATA, the acks provoked
         // by a full receive arena, and the retransmissions those acks
         // release -- all before the poll's flush; size the batch builder
@@ -272,7 +243,7 @@ public:
         RecvBatch& rx = rx_batch();
         for (;;) {
             const std::size_t n = transport_->recv_batch(rx);
-            for (std::size_t i = 0; i < n; ++i) handle_datagram(rx[i]);
+            for (std::size_t i = 0; i < n; ++i) frames_.receive(duplex_, rx[i]);
             work += n;
             if (n < rx.capacity()) break;
         }
@@ -282,35 +253,10 @@ public:
 
     /// Feeds one already-decoded frame to the drivers -- the entry point
     /// a server uses after demuxing a shared socket's arena (each
-    /// datagram is decoded exactly once, by the demux).  poll() routes
-    /// its own datagrams through here too.  Frames for a direction this
-    /// endpoint does not run (DATA at a pure sender, ACK at a pure
-    /// receiver) are counted as anomalies and dropped.
-    void handle_frame(const wire::FrameView& frame) {
-        switch (frame.type) {
-            case wire::FrameType::Ack:
-                if (cfg_.count == 0) return count_anomaly();
-                duplex_.handle_ack(proto::Ack{frame.lo, frame.hi});
-                break;
-            case wire::FrameType::Nak:
-                if (cfg_.count == 0) return count_anomaly();
-                duplex_.handle_nak(proto::Nak{frame.seq});
-                break;
-            case wire::FrameType::Data:
-                if (cfg_.rx_count == 0) return count_anomaly();
-                ingest_data(frame, nullptr);
-                break;
-            case wire::FrameType::DataAck: {
-                // The ack half rides for our sending side; the data half
-                // for our receiving side.  A pure receiver still absorbs
-                // the data half (the ack half clips to an empty window).
-                if (cfg_.rx_count == 0) return count_anomaly();
-                const proto::Ack ack{frame.lo, frame.hi};
-                ingest_data(frame, &ack);
-                break;
-            }
-        }
-    }
+    /// datagram is decoded exactly once, by the demux).  Frames for a
+    /// direction this endpoint does not run are counted as anomalies
+    /// and dropped.
+    void handle_frame(const wire::FrameView& frame) { frames_.dispatch(duplex_, frame); }
 
     /// Every originated message sent and acknowledged, every expected
     /// arrival delivered.
@@ -319,10 +265,11 @@ public:
     bool rx_done() const { return duplex_.rx_done(); }
 
     Seq delivered() const { return duplex_.delivered(); }
-    std::uint64_t bytes_delivered() const { return bytes_delivered_; }
+    Seq sent_new() const { return duplex_.sent_new(); }
+    std::uint64_t bytes_delivered() const { return frames_.bytes_delivered(); }
     /// Delivered payloads whose bytes did not match the expected pattern.
     /// Must be zero: CRC-32C rejects corruption before the core sees it.
-    std::uint64_t payload_mismatches() const { return payload_mismatches_; }
+    std::uint64_t payload_mismatches() const { return frames_.payload_mismatches(); }
     /// Acks that rode reverse DATA frames vs. egressed standalone.
     std::uint64_t piggybacked() const { return duplex_.piggybacked(); }
     std::uint64_t standalone_acks() const { return duplex_.standalone_acks(); }
@@ -350,8 +297,8 @@ public:
     /// separable).
     void set_decision_log(runtime::DecisionLog* log) { duplex_.set_decision_log(log); }
 
-    void set_payload_source(PayloadSource source) { payload_source_ = std::move(source); }
-    void set_deliver_sink(DeliverSink sink) { deliver_sink_ = std::move(sink); }
+    void set_payload_source(PayloadSource source) { frames_.set_payload_source(std::move(source)); }
+    void set_deliver_sink(DeliverSink sink) { frames_.set_deliver_sink(std::move(sink)); }
 
     // ---- Environment hooks (called by DuplexDriver) ------------------------
     // Public because the driver is a distinct type; not user API.
@@ -363,144 +310,38 @@ public:
     TimerService& timer_service() { return wheel_; }
     SimTime now() const { return wheel_.now(); }
 
+    // Egress stages each frame on the tick's batch; poll() flushes the
+    // whole window in one send_batch.
     void send_data(const proto::Data& msg, Seq true_seq, bool /*retx*/) {
-        // Stage the frame on the tick's batch; poll() flushes the whole
-        // window in one send_batch.  The payload is keyed by the true
-        // sequence number (the receiver re-derives or reassembles it at
-        // delivery), while the frame carries the core's wire value --
-        // identical for unbounded cores, a residue for bounded ones.
-        // The bytes land in a reused scratch and are encoded straight
-        // onto the slab -- no per-frame allocation once both are at
-        // high-water mark.
-        stage_payload(true_seq);
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
-            wire::encode_data_to(slab, msg.seq, payload_scratch_, wire::kFlagNone, cfg_.stream,
-                                 cfg_.conn);
-        });
-        maybe_flush();
+        frames_.data(stage(), msg, true_seq);
     }
-
-    /// Reverse DATA carrying a deferred ack block.  The duplex layer
-    /// splits wrapped bounded-BA ranges before piggybacking, so the wire
-    /// precondition lo <= hi always holds here.
     void send_data_ack(const proto::Data& msg, Seq true_seq, bool /*retx*/,
                        const proto::Ack& ack, runtime::AckKind) {
-        stage_payload(true_seq);
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
-            wire::encode_data_ack_to(slab, msg.seq, ack.lo, ack.hi, payload_scratch_,
-                                     wire::kFlagNone, cfg_.stream, cfg_.conn);
-        });
-        maybe_flush();
+        frames_.data_ack(stage(), msg, true_seq, ack);
     }
-
-    /// Bounded cores ack residue *ranges*; a block that straddles the
-    /// domain edge arrives as (lo, hi) with hi < lo (e.g. (7, 2) in
-    /// domain 8).  The wire format carries closed intervals, so such a
-    /// block goes out as two frames, (lo, domain-1) and (0, hi) -- each
-    /// is itself a valid sub-block ack the sender absorbs independently,
-    /// and losing one of the pair is just an ordinary lost ack.
     void send_ack(const proto::Ack& ack, runtime::AckKind) {
-        if constexpr (runtime::kCoreAckWireWrapped<Core>) {
-            if (ack.lo > ack.hi) {
-                const Seq top = duplex_.rx_core().ack_wire_domain() - 1;
-                tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
-                    wire::encode_ack_to(slab, ack.lo, top, wire::kFlagNone, cfg_.stream,
-                                        cfg_.conn);
-                });
-                tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
-                    wire::encode_ack_to(slab, 0, ack.hi, wire::kFlagNone, cfg_.stream,
-                                        cfg_.conn);
-                });
-                maybe_flush();
-                return;
-            }
-        }
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
-            wire::encode_ack_to(slab, ack.lo, ack.hi, wire::kFlagNone, cfg_.stream, cfg_.conn);
-        });
-        maybe_flush();
+        frames_.ack(stage(), duplex_.rx_core(), ack);
     }
+    void send_nak(const proto::Nak& nak) { frames_.nak(stage(), nak); }
 
-    void send_nak(const proto::Nak& nak) {
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
-            wire::encode_nak_to(slab, nak.seq, wire::kFlagNone, cfg_.stream, cfg_.conn);
-        });
-        maybe_flush();
-    }
-
-    /// Consumes the stashed payload of one in-order delivery.  The stash
-    /// is keyed by *wire* value (all the frame carries); wire-mapped
-    /// cores translate, unbounded ones are the identity.  The protocols
-    /// guarantee at most one live message per wire value at the receiver
-    /// (window/domain relation, residue quarantine), so the latest write
-    /// for a key is always the delivered message's own bytes.
-    void on_delivery(Seq true_seq) {
-        Seq key = true_seq;
-        if constexpr (runtime::kCoreWireMapped<Core>) {
-            key = duplex_.rx_core().wire_seq(true_seq);
-        }
-        const std::vector<std::uint8_t>* bytes = stash_.find(key);
-        BACP_ASSERT_MSG(bytes != nullptr, "delivered message has no stashed payload");
-        bytes_delivered_ += bytes->size();
-        if (deliver_sink_) {
-            deliver_sink_(true_seq, *bytes);
-        } else {
-            expected_scratch_.resize(bytes->size());
-            pattern_fill(true_seq, expected_scratch_);
-            if (*bytes != expected_scratch_) ++payload_mismatches_;
-        }
-        stash_.erase(key);
-    }
+    void on_delivery(Seq true_seq) { frames_.deliver(duplex_.rx_core(), true_seq); }
 
     void after_step() {}
 
 private:
-    void handle_datagram(std::span<const std::uint8_t> bytes) {
-        const wire::ViewResult result = wire::decode_view(bytes);
-        if (!result.ok()) {
-            ++duplex_.tx_metrics_mut().decode_errors;
-            if (result.error() == wire::DecodeError::BadCrc) {
-                ++duplex_.tx_metrics_mut().crc_errors;
+    /// The FramePath emitter: encode straight onto the batch slab, then
+    /// flush when unbatched sending is configured, or when the builder
+    /// has filled its reserved burst -- a post-stall poll can drain an
+    /// arbitrary backlog in one pass, and capping the batch here bounds
+    /// the builder to the ctor's reserve (a real sendmmsg caps a batch at
+    /// IOV_MAX the same way).
+    auto stage() {
+        return [this](auto&& encode) {
+            tx_batch_.append_with(encode);
+            if (cfg_.effective_batch() <= 1 || tx_batch_.size() >= batch_cap_) {
+                tx_batch_.flush(*transport_);
             }
-            return;  // treated as loss
-        }
-        handle_frame(result.frame());
-    }
-
-    /// A frame for a direction this endpoint does not run.  Counted on
-    /// the sending half's metrics; the per-endpoint merge makes the
-    /// choice of half invisible.
-    void count_anomaly() { ++duplex_.tx_metrics_mut().decode_errors; }
-
-    /// DATA (optionally carrying a piggybacked ack) into the receiving
-    /// half.  The payload is stashed before the driver steps so a
-    /// delivery it unlocks can always find its bytes; latest write wins,
-    /// so a wire value being reused (bounded cores) always maps to the
-    /// newest message.
-    void ingest_data(const wire::FrameView& frame, const proto::Ack* ack) {
-        stash_.put(frame.seq, frame.payload);
-        const std::uint64_t dup_acks_before = duplex_.rx_metrics().dup_acks;
-        if (ack != nullptr) {
-            duplex_.handle_data_ack(proto::Data{frame.seq}, *ack);
-        } else {
-            duplex_.handle_data(proto::Data{frame.seq});
-        }
-        // A re-acked arrival (the core answered with a singleton re-ack
-        // instead of buffering) will never be consumed -- drop its bytes
-        // now, or every retransmission of a delivered message grows the
-        // stash by one dead entry forever.  In-window duplicates of
-        // still-buffered messages take the other branch (no dup-ack) and
-        // keep their bytes.
-        if (duplex_.rx_metrics().dup_acks != dup_acks_before) stash_.erase(frame.seq);
-    }
-
-    void stage_payload(Seq true_seq) {
-        if (payload_source_) {
-            payload_source_(true_seq, payload_scratch_);
-        } else {
-            payload_scratch_.resize(cfg_.payload_size);
-            pattern_fill(true_seq, payload_scratch_);
-        }
+        };
     }
 
     /// The receive arena, built on first poll(): a server-driven session
@@ -516,31 +357,11 @@ private:
     NetConfig cfg_;
     TimerWheel& wheel_;
     Transport* transport_;
-
-    std::uint64_t bytes_delivered_ = 0;
-    std::uint64_t payload_mismatches_ = 0;
-    // Live stash entries are protocol-bounded by the window (+1 for the
-    // in-flight arrival, so a full window never triggers a table grow).
-    PayloadStash stash_{static_cast<std::size_t>(cfg_.w) + 1};  // wire seq -> payload
-    std::unique_ptr<RecvBatch> rx_batch_;        // lazy: see rx_batch()
-    /// Flushes the staged batch when unbatched sending is configured, or
-    /// when the builder has filled its reserved burst -- a post-stall
-    /// poll can drain an arbitrary backlog in one pass, and capping the
-    /// batch here bounds the builder to the ctor's reserve (a real
-    /// sendmmsg caps a batch at IOV_MAX the same way).
-    void maybe_flush() {
-        if (cfg_.effective_batch() <= 1 || tx_batch_.size() >= batch_cap_) {
-            tx_batch_.flush(*transport_);
-        }
-    }
-
-    SendBatch tx_batch_;                          // the tick's staged frames
-    std::size_t batch_cap_ = 0;                   // reserved burst; see ctor
-    std::vector<std::uint8_t> payload_scratch_;   // outbound bytes, reused
-    std::vector<std::uint8_t> expected_scratch_;  // pattern verify, reused
-    PayloadSource payload_source_;  // empty = pattern payloads
-    DeliverSink deliver_sink_;      // empty = pattern verification
-    mutable sim::Metrics merged_;   // metrics() scratch
+    FramePath<Core> frames_;
+    std::unique_ptr<RecvBatch> rx_batch_;  // lazy: see rx_batch()
+    SendBatch tx_batch_;                   // the tick's staged frames
+    std::size_t batch_cap_ = 0;            // reserved burst; see ctor
+    mutable sim::Metrics merged_;          // metrics() scratch
     runtime::DuplexDriver<Core, NetEndpoint> duplex_;  // last: uses members above
 };
 

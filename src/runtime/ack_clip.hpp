@@ -26,8 +26,7 @@ namespace bacp::runtime {
 /// Bounded (residue) senders: core must expose domain(), na_mod(),
 /// outstanding(), can_resend().  Appends the clipped runs to \p runs --
 /// the runtimes clip on every ack arrival and reuse one scratch vector
-/// per session; the returning overloads below are for tests and
-/// one-shot callers.
+/// per session.
 template <typename BoundedCore>
 void clip_ack_bounded_into(const BoundedCore& sender, const proto::Ack& ack,
                            std::vector<proto::Ack>& runs) {
@@ -75,20 +74,6 @@ void clip_ack_unbounded_into(const Core& sender, const proto::Ack& ack,
         }
     }
     if (in_run) runs.push_back(proto::Ack{run_lo, run_hi});
-}
-
-template <typename BoundedCore>
-std::vector<proto::Ack> clip_ack_bounded(const BoundedCore& sender, const proto::Ack& ack) {
-    std::vector<proto::Ack> runs;
-    clip_ack_bounded_into(sender, ack, runs);
-    return runs;
-}
-
-template <typename Core>
-std::vector<proto::Ack> clip_ack_unbounded(const Core& sender, const proto::Ack& ack) {
-    std::vector<proto::Ack> runs;
-    clip_ack_unbounded_into(sender, ack, runs);
-    return runs;
 }
 
 }  // namespace bacp::runtime

@@ -34,6 +34,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -59,7 +60,7 @@ namespace bacp::runtime {
 /// interval, ...) live in the core's Options struct.
 struct EngineConfig {
     Seq w = 8;
-    Seq count = 1000;  // messages to transfer
+    Seq count = 1000;  // messages to transfer (kUnboundedCount: open-ended)
     /// nullopt = the core's classic discipline (PerMessageTimer for the
     /// block-ack family and selective repeat, SimpleTimer for the
     /// single-timer baselines).
@@ -101,6 +102,12 @@ struct EngineConfig {
     /// arrival_interval > 0.
     bool app_arrivals = false;
 };
+
+/// EngineConfig::count (or DuplexSpec::rx_count) of an open-ended
+/// transfer -- the link layer's send queue, whose total the application
+/// never announces.  Pair it with app_arrivals.  The driver pre-sizes its
+/// per-seq tables for finite counts only; unbounded ones grow in chunks.
+inline constexpr Seq kUnboundedCount = std::numeric_limits<Seq>::max();
 
 /// The conservative retransmission timeout: one data lifetime out, one
 /// ack lifetime back, the longest the receiver may sit on an ack, plus a
@@ -265,10 +272,11 @@ public:
         data_lifetime_ = cfg_.data_link.max_lifetime();
         // Pre-size the per-seq tables and the candidate scratch so the
         // steady-state loop never touches the allocator.
-        txlog_.reserve(cfg_.count);
-        first_send_.reserve(cfg_.count);
-        if (cfg_.arrival_interval > 0) arrival_time_.reserve(cfg_.count);
-        if (mode_ == TimeoutMode::PerMessageTimer) pm_timers_.reserve(cfg_.count);
+        const std::size_t presize = cfg_.count == kUnboundedCount ? 0 : cfg_.count;
+        txlog_.reserve(presize);
+        first_send_.reserve(presize);
+        if (cfg_.arrival_interval > 0) arrival_time_.reserve(presize);
+        if (mode_ == TimeoutMode::PerMessageTimer) pm_timers_.reserve(presize);
         seq_scratch_.reserve(cfg_.w + 1);
     }
 

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file horizon.hpp
-/// Send-horizon rule, shared by the block-ack core and the duplex
-/// session.
+/// Send-horizon rule, applied by the block-ack core (ba::EngineCore).
 ///
 /// When an acknowledgment covers a message i whose last copy may still be
 /// in transit (last_tx(i) + L_SR > now -- only possible after

@@ -3,11 +3,7 @@
 #include "common/stats.hpp"
 #include "workload/report.hpp"
 
-#include "runtime/abp_session.hpp"
-#include "runtime/ba_session.hpp"
-#include "runtime/gbn_session.hpp"
-#include "runtime/sr_session.hpp"
-#include "runtime/tc_session.hpp"
+#include "runtime/sessions.hpp"
 
 namespace bacp::workload {
 

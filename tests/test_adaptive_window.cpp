@@ -6,7 +6,7 @@
 #include "ba/bounded_sender.hpp"
 #include "ba/sender.hpp"
 #include "common/assert.hpp"
-#include "runtime/ba_session.hpp"
+#include "runtime/sessions.hpp"
 #include "sim/sim_channel.hpp"
 #include "sim/simulator.hpp"
 

@@ -12,9 +12,7 @@
 
 #include "chaos/crash_restart.hpp"
 #include "chaos/harness.hpp"
-#include "runtime/ba_session.hpp"
-#include "runtime/gbn_session.hpp"
-#include "runtime/sr_session.hpp"
+#include "runtime/sessions.hpp"
 
 namespace bacp::chaos {
 namespace {

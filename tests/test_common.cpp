@@ -1,4 +1,4 @@
-// Tests for src/common: rng, stats, histogram, ring buffer, logging, assert.
+// Tests for src/common: rng, stats, histogram, ring buffer, assert.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "common/assert.hpp"
 #include "common/histogram.hpp"
-#include "common/logging.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -328,27 +327,6 @@ TEST(RingBuffer, ClearEmpties) {
     EXPECT_TRUE(rb.empty());
     EXPECT_TRUE(rb.push(9));
     EXPECT_EQ(rb.front(), 9);
-}
-
-// --------------------------------------------------------------- logging --
-
-TEST(Logging, SinkReceivesEnabledLevels) {
-    auto& logger = Logger::instance();
-    const auto old_level = logger.level();
-    std::vector<std::string> captured;
-    logger.set_sink([&](LogLevel, const std::string& msg) { captured.push_back(msg); });
-    logger.set_level(LogLevel::Info);
-    BACP_LOG_INFO << "hello " << 42;
-    BACP_LOG_DEBUG << "invisible";
-    EXPECT_EQ(captured.size(), 1u);
-    EXPECT_EQ(captured[0], "hello 42");
-    logger.set_level(old_level);
-    logger.set_sink([](LogLevel, const std::string&) {});
-}
-
-TEST(Logging, LevelNames) {
-    EXPECT_STREQ(to_string(LogLevel::Warn), "WARN");
-    EXPECT_STREQ(to_string(LogLevel::Trace), "TRACE");
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/ba_session.hpp"
+#include "runtime/sessions.hpp"
 #include "sim/diagram.hpp"
 #include "sim/trace.hpp"
 

@@ -35,8 +35,9 @@
 
 #include "ba/engine_core.hpp"
 #include "baselines/engine_cores.hpp"
-#include "net/net_session.hpp"
+#include "link/sim_endpoint.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/sessions.hpp"
 
 namespace bacp {
 namespace {
@@ -207,6 +208,12 @@ TEST(DriverParity, TimeConstrained) {
 // one-way engine makes for the same scenario -- timestamps included for
 // the timer disciplines.
 //
+// The same pin holds for the DES duplex environment (link::SimDuplex:
+// two SimEndpoints over byte channels on one simulator), which runs the
+// identical DuplexDriver over virtual time -- so a DES duplex session is
+// checked against the DES one-way engine, and against the net duplex
+// session by transitivity.
+//
 // The scenario is lossless fixed-delay: in duplex each pathway carries
 // one direction's DATA interleaved with the other's ACKs, so a scripted
 // drop index on the shared pathway could never be world-isomorphic to a
@@ -248,10 +255,20 @@ void expect_duplex_parity(TimeoutMode mode, typename Core::Options options = {})
     ASSERT_TRUE(report.completed) << "net duplex run did not complete";
     EXPECT_EQ(report.piggybacked, 0u);  // piggyback off: pure composition
 
+    // Duplex DES run: the same session over byte channels, both
+    // endpoints on one simulator.
+    DecisionLog sim_a_log;
+    DecisionLog sim_b_log;
+    link::SimDuplex<Core> simd(des_cfg, runtime::DuplexSpec{kCount, false}, options);
+    simd.a().set_decision_log(&sim_a_log);
+    simd.b().set_decision_log(&sim_b_log);
+    ASSERT_TRUE(simd.run()) << "DES duplex run did not complete";
+    EXPECT_EQ(simd.piggybacked(), 0u);
+
     // Each endpoint's log interleaves its sender half ('S', for the
     // direction it originates) with its receiver half ('R', for the
     // direction it sinks); splitting by role recovers the four one-way
-    // streams.
+    // streams of each runtime.
     const auto split = [](const DecisionLog& log, char role) {
         std::vector<Decision> out;
         for (const Decision& d : log.entries) {
@@ -265,8 +282,10 @@ void expect_duplex_parity(TimeoutMode mode, typename Core::Options options = {})
         std::vector<Decision> receiver;
     };
     Direction dirs[] = {
-        {"forward (A->B)", split(a_log, 'S'), split(b_log, 'R')},
-        {"reverse (B->A)", split(b_log, 'S'), split(a_log, 'R')},
+        {"net forward (A->B)", split(a_log, 'S'), split(b_log, 'R')},
+        {"net reverse (B->A)", split(b_log, 'S'), split(a_log, 'R')},
+        {"DES forward (A->B)", split(sim_a_log, 'S'), split(sim_b_log, 'R')},
+        {"DES reverse (B->A)", split(sim_b_log, 'S'), split(sim_a_log, 'R')},
     };
     for (Direction& dir : dirs) {
         SCOPED_TRACE(dir.name);
@@ -281,12 +300,12 @@ void expect_duplex_parity(TimeoutMode mode, typename Core::Options options = {})
             strip_times(want_receiver);
         }
         EXPECT_EQ(want_sender, dir.sender)
-            << "duplex sender half diverged from one-way\nDES:\n"
-            << render(want_sender) << "net:\n"
+            << "duplex sender half diverged from one-way\none-way:\n"
+            << render(want_sender) << "duplex:\n"
             << render(dir.sender);
         EXPECT_EQ(want_receiver, dir.receiver)
-            << "duplex receiver half diverged from one-way\nDES:\n"
-            << render(want_receiver) << "net:\n"
+            << "duplex receiver half diverged from one-way\none-way:\n"
+            << render(want_receiver) << "duplex:\n"
             << render(dir.receiver);
     }
 }

@@ -1,24 +1,40 @@
-// Tests for the full-duplex session with piggybacked acknowledgments.
+// Tests for the full-duplex DES session (link::SimDuplex: two
+// DuplexDriver endpoints over byte channels) with piggybacked
+// acknowledgments.
 
 #include <gtest/gtest.h>
 
-#include "runtime/duplex_session.hpp"
+#include "ba/engine_core.hpp"
+#include "link/sim_endpoint.hpp"
 #include "wire/codec.hpp"
 
-namespace bacp::runtime {
+namespace bacp::link {
 namespace {
 
 using namespace bacp::literals;
+using Duplex = SimDuplex<ba::EngineCore<ba::Sender, ba::Receiver>>;
+using runtime::AckPolicy;
+using runtime::DuplexSpec;
+using runtime::EngineConfig;
+using runtime::LinkSpec;
 
-DuplexConfig symmetric(Seq count, double loss, std::uint64_t seed, bool piggyback) {
-    DuplexConfig cfg;
+/// \p count messages each way over symmetric links.
+EngineConfig symmetric(Seq count, double loss, std::uint64_t seed) {
+    EngineConfig cfg;
     cfg.w = 8;
-    cfg.count_a_to_b = count;
-    cfg.count_b_to_a = count;
-    cfg.piggyback = piggyback;
-    cfg.ab_link = loss > 0 ? LinkSpec::lossy(loss) : LinkSpec::lossless();
-    cfg.ba_link = loss > 0 ? LinkSpec::lossy(loss) : LinkSpec::lossless();
+    cfg.count = count;
+    cfg.data_link = loss > 0 ? LinkSpec::lossy(loss) : LinkSpec::lossless();
+    cfg.ack_link = loss > 0 ? LinkSpec::lossy(loss) : LinkSpec::lossless();
     cfg.seed = seed;
+    return cfg;
+}
+
+DuplexSpec both_ways(Seq count, bool piggyback) { return DuplexSpec{count, piggyback}; }
+
+/// Acks held for 2 ms (batched into bigger blocks): the piggyback
+/// ablation holds them in both arms, so it isolates riding from batching.
+EngineConfig held(EngineConfig cfg) {
+    cfg.ack_policy = AckPolicy::delayed(2_ms);
     return cfg;
 }
 
@@ -57,94 +73,85 @@ TEST(DataAckWire, ToString) {
 // --------------------------------------------------------------- transfers --
 
 TEST(Duplex, LosslessSymmetricCompletes) {
-    DuplexSession session(symmetric(500, 0.0, 1, true));
-    const auto result = session.run();
-    EXPECT_TRUE(session.completed());
-    EXPECT_EQ(result.a_to_b.delivered, 500u);
-    EXPECT_EQ(result.b_to_a.delivered, 500u);
-    EXPECT_EQ(result.a_to_b.data_retx, 0u);
-    EXPECT_EQ(result.b_to_a.data_retx, 0u);
+    Duplex session(symmetric(500, 0.0, 1), both_ways(500, true));
+    EXPECT_TRUE(session.run());
+    EXPECT_EQ(session.b().delivered(), 500u);
+    EXPECT_EQ(session.a().delivered(), 500u);
+    EXPECT_EQ(session.a().tx_metrics().data_retx, 0u);
+    EXPECT_EQ(session.b().tx_metrics().data_retx, 0u);
 }
 
 TEST(Duplex, LossyBothDirectionsComplete) {
-    DuplexSession session(symmetric(400, 0.1, 2, true));
-    const auto result = session.run();
-    EXPECT_TRUE(session.completed());
-    EXPECT_EQ(result.a_to_b.delivered, 400u);
-    EXPECT_EQ(result.b_to_a.delivered, 400u);
-    EXPECT_GT(result.a_to_b.data_retx + result.b_to_a.data_retx, 0u);
+    Duplex session(symmetric(400, 0.1, 2), both_ways(400, true));
+    EXPECT_TRUE(session.run());
+    EXPECT_EQ(session.b().delivered(), 400u);
+    EXPECT_EQ(session.a().delivered(), 400u);
+    EXPECT_GT(session.a().tx_metrics().data_retx + session.b().tx_metrics().data_retx, 0u);
 }
 
 TEST(Duplex, PiggybackingRidesAcksAndNeverCostsFrames) {
-    DuplexSession with(symmetric(1000, 0.0, 3, true));
-    const auto on = with.run();
-    DuplexSession without(symmetric(1000, 0.0, 3, false));
-    const auto off = without.run();
-    ASSERT_TRUE(with.completed());
-    ASSERT_TRUE(without.completed());
-    EXPECT_GT(on.piggybacked, 0u);
+    Duplex with(held(symmetric(1000, 0.0, 3)), both_ways(1000, true));
+    Duplex without(held(symmetric(1000, 0.0, 3)), both_ways(1000, false));
+    ASSERT_TRUE(with.run());
+    ASSERT_TRUE(without.run());
+    EXPECT_GT(with.piggybacked(), 0u);
+    EXPECT_EQ(without.piggybacked(), 0u);
     // Block acknowledgments already amortize ack frames heavily (the
     // held-ack batching), so riding trims only the remaining standalone
     // frames -- but it must never cost frames.
-    const auto frames_on = on.frames_ab + on.frames_ba;
-    const auto frames_off = off.frames_ab + off.frames_ba;
-    EXPECT_LE(frames_on, frames_off) << "on=" << frames_on << " off=" << frames_off;
+    EXPECT_LE(with.frames(), without.frames())
+        << "on=" << with.frames() << " off=" << without.frames();
     // The headline economy: under symmetric bulk traffic the total frame
     // cost stays close to pure data (1 frame per message) -- the regime a
     // per-message-ack protocol reaches only at ~2 frames per message.
-    const double per_msg = static_cast<double>(frames_on) /
-                           static_cast<double>(on.a_to_b.delivered + on.b_to_a.delivered);
+    const double per_msg = static_cast<double>(with.frames()) /
+                           static_cast<double>(with.a().delivered() + with.b().delivered());
     EXPECT_LT(per_msg, 1.3);
 }
 
 TEST(Duplex, AsymmetricTrafficStillCompletes) {
-    DuplexConfig cfg = symmetric(600, 0.05, 4, true);
-    cfg.count_b_to_a = 30;  // mostly one-way: acks must still flush via timer
-    DuplexSession session(cfg);
-    const auto result = session.run();
-    EXPECT_TRUE(session.completed());
-    EXPECT_EQ(result.a_to_b.delivered, 600u);
-    EXPECT_EQ(result.b_to_a.delivered, 30u);
-    EXPECT_GT(result.standalone_acks, 0u) << "without reverse data, acks need frames";
+    // Mostly one-way: acks must still flush via the deferral timer.
+    Duplex session(symmetric(600, 0.05, 4), both_ways(30, true));
+    EXPECT_TRUE(session.run());
+    EXPECT_EQ(session.b().delivered(), 600u);
+    EXPECT_EQ(session.a().delivered(), 30u);
+    EXPECT_GT(session.standalone_acks(), 0u) << "without reverse data, acks need frames";
 }
 
 TEST(Duplex, OneWayDegeneratesToUnidirectional) {
-    DuplexConfig cfg = symmetric(300, 0.1, 5, true);
-    cfg.count_b_to_a = 0;
-    DuplexSession session(cfg);
-    const auto result = session.run();
-    EXPECT_TRUE(session.completed());
-    EXPECT_EQ(result.a_to_b.delivered, 300u);
-    EXPECT_EQ(result.b_to_a.delivered, 0u);
-    EXPECT_EQ(result.piggybacked, 0u) << "no reverse data to ride on";
+    Duplex session(symmetric(300, 0.1, 5), both_ways(0, true));
+    EXPECT_TRUE(session.run());
+    EXPECT_EQ(session.b().delivered(), 300u);
+    EXPECT_EQ(session.a().delivered(), 0u);
+    EXPECT_EQ(session.piggybacked(), 0u) << "no reverse data to ride on";
 }
 
 TEST(Duplex, DeterministicForSeed) {
-    DuplexSession x(symmetric(300, 0.1, 6, true));
-    const auto rx = x.run();
-    DuplexSession y(symmetric(300, 0.1, 6, true));
-    const auto ry = y.run();
-    EXPECT_EQ(rx.a_to_b.end_time, ry.a_to_b.end_time);
-    EXPECT_EQ(rx.frames_ab, ry.frames_ab);
-    EXPECT_EQ(rx.piggybacked, ry.piggybacked);
+    Duplex x(symmetric(300, 0.1, 6), both_ways(300, true));
+    Duplex y(symmetric(300, 0.1, 6), both_ways(300, true));
+    ASSERT_TRUE(x.run());
+    ASSERT_TRUE(y.run());
+    EXPECT_EQ(x.simulator().now(), y.simulator().now());
+    EXPECT_EQ(x.frames(), y.frames());
+    EXPECT_EQ(x.piggybacked(), y.piggybacked());
 }
 
 class DuplexSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DuplexSeedSweep, ExactlyOnceBothWaysUnderLossAndReorder) {
-    DuplexConfig cfg = symmetric(250, 0.15, GetParam(), true);
-    cfg.ab_link.delay_lo = 1_ms;
-    cfg.ab_link.delay_hi = 9_ms;
-    cfg.ba_link.delay_lo = 1_ms;
-    cfg.ba_link.delay_hi = 9_ms;
-    DuplexSession session(cfg);
-    const auto result = session.run();
-    ASSERT_TRUE(session.completed()) << "seed=" << GetParam();
-    EXPECT_EQ(result.a_to_b.delivered, 250u);
-    EXPECT_EQ(result.b_to_a.delivered, 250u);
+    EngineConfig cfg = symmetric(250, 0.15, GetParam());
+    cfg.data_link.delay_lo = 1_ms;
+    cfg.data_link.delay_hi = 9_ms;
+    cfg.ack_link.delay_lo = 1_ms;
+    cfg.ack_link.delay_hi = 9_ms;
+    Duplex session(cfg, both_ways(250, true));
+    // completed() includes payload verification in both directions.
+    ASSERT_TRUE(session.run()) << "seed=" << GetParam();
+    EXPECT_EQ(session.b().delivered(), 250u);
+    EXPECT_EQ(session.a().delivered(), 250u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DuplexSeedSweep, ::testing::Values(11, 12, 13, 14, 15, 16));
 
 }  // namespace
-}  // namespace bacp::runtime
+}  // namespace bacp::link

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/models.hpp"
-#include "runtime/tc_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/scenario.hpp"
 
 namespace bacp::analysis {

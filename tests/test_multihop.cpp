@@ -28,8 +28,8 @@ struct PointToPoint {
     Rng rev_rng{102};
     ByteChannel forward;
     ByteChannel reverse;
-    LinkSender tx;
-    LinkReceiver rx;
+    LinkEndpoint tx;  // sends DATA on forward
+    LinkEndpoint rx;  // acks on reverse
 
     explicit PointToPoint(double loss, EndpointConfig cfg = {})
         : forward(sim, fwd_rng, make_cfg(loss), "f"),

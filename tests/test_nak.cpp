@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "link/reliable_link.hpp"
-#include "runtime/ba_session.hpp"
+#include "runtime/sessions.hpp"
 #include "sim/simulator.hpp"
 #include "wire/codec.hpp"
 

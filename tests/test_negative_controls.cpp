@@ -14,7 +14,7 @@
 
 #include "common/assert.hpp"
 #include "link/reliable_link.hpp"
-#include "runtime/ba_session.hpp"
+#include "runtime/sessions.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp {
@@ -36,10 +36,10 @@ int corrupted_runs(bool disable_horizon, bool ungated_resend) {
     int corrupted = 0;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         sim::Simulator sim;
-        link::ReliableLink::Config cfg{.w = 2, .loss = 0.25, .seed = seed};
-        cfg.unsafe_disable_horizon = disable_horizon;
-        cfg.unsafe_ungated_resend = ungated_resend;
-        link::ReliableLink link(sim, cfg);
+        link::LinkCore::Options controls;
+        controls.unsafe_disable_horizon = disable_horizon;
+        controls.unsafe_ungated_resend = ungated_resend;
+        link::ReliableLink link(sim, {.w = 2, .loss = 0.25, .seed = seed}, controls);
         std::vector<std::vector<std::uint8_t>> got;
         link.set_on_deliver(
             [&](std::span<const std::uint8_t> p) { got.emplace_back(p.begin(), p.end()); });

@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/net_session.hpp"
+#include "runtime/sessions.hpp"
 #include "wire/crc32.hpp"
 
 namespace bacp::net {

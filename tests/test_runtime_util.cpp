@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ba/bounded_sender.hpp"
 #include "ba/sender.hpp"
 #include "runtime/ack_clip.hpp"
@@ -22,7 +24,8 @@ namespace {
 TEST(AckClipUnbounded, FullFreshRangePassesThrough) {
     ba::Sender s(4);
     for (int i = 0; i < 4; ++i) s.send_new();
-    const auto runs = clip_ack_unbounded(s, proto::Ack{0, 3});
+    std::vector<proto::Ack> runs;
+    clip_ack_unbounded_into(s, proto::Ack{0, 3}, runs);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0], (proto::Ack{0, 3}));
 }
@@ -31,7 +34,8 @@ TEST(AckClipUnbounded, RangeBeyondNsIsTruncated) {
     ba::Sender s(8);
     s.send_new();
     s.send_new();
-    const auto runs = clip_ack_unbounded(s, proto::Ack{0, 7});
+    std::vector<proto::Ack> runs;
+    clip_ack_unbounded_into(s, proto::Ack{0, 7}, runs);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0], (proto::Ack{0, 1}));
 }
@@ -39,7 +43,9 @@ TEST(AckClipUnbounded, RangeBeyondNsIsTruncated) {
 TEST(AckClipUnbounded, InvertedRangeIsEmpty) {
     ba::Sender s(4);
     s.send_new();
-    EXPECT_TRUE(clip_ack_unbounded(s, proto::Ack{3, 1}).empty());
+    std::vector<proto::Ack> runs;
+    clip_ack_unbounded_into(s, proto::Ack{3, 1}, runs);
+    EXPECT_TRUE(runs.empty());
 }
 
 TEST(AckClipUnbounded, MultipleHolesSplitIntoMultipleRuns) {
@@ -47,7 +53,8 @@ TEST(AckClipUnbounded, MultipleHolesSplitIntoMultipleRuns) {
     for (int i = 0; i < 8; ++i) s.send_new();
     s.on_ack(proto::Ack{1, 1});
     s.on_ack(proto::Ack{4, 5});
-    const auto runs = clip_ack_unbounded(s, proto::Ack{0, 7});
+    std::vector<proto::Ack> runs;
+    clip_ack_unbounded_into(s, proto::Ack{0, 7}, runs);
     ASSERT_EQ(runs.size(), 3u);
     EXPECT_EQ(runs[0], (proto::Ack{0, 0}));
     EXPECT_EQ(runs[1], (proto::Ack{2, 3}));
@@ -69,7 +76,8 @@ TEST(AckClipBounded, WrappedRangeStaysOneRun) {
     ba::BoundedSender s(4);  // n = 8
     walk_na_to(s, 6);
     for (int i = 0; i < 4; ++i) s.send_new();  // residues 6,7,0,1
-    const auto runs = clip_ack_bounded(s, proto::Ack{6, 1});
+    std::vector<proto::Ack> runs;
+    clip_ack_bounded_into(s, proto::Ack{6, 1}, runs);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0].lo, 6u);
     EXPECT_EQ(runs[0].hi, 1u);
@@ -80,7 +88,8 @@ TEST(AckClipBounded, HoleExactlyAtTheWrapSplitsRuns) {
     walk_na_to(s, 6);
     for (int i = 0; i < 4; ++i) s.send_new();  // residues 6,7,0,1
     s.on_ack(proto::Ack{0, 0});                // hole right past the wrap
-    const auto runs = clip_ack_bounded(s, proto::Ack{6, 1});
+    std::vector<proto::Ack> runs;
+    clip_ack_bounded_into(s, proto::Ack{6, 1}, runs);
     ASSERT_EQ(runs.size(), 2u);
     EXPECT_EQ(runs[0], (proto::Ack{6, 7}));
     EXPECT_EQ(runs[1], (proto::Ack{1, 1}));
@@ -92,7 +101,8 @@ TEST(AckClipBounded, StaleResiduesBelowNaAreClipped) {
     s.send_new();  // residue 2 outstanding
     // Residues 0..1 alias ALREADY-ACKED positions one domain ago; only
     // the outstanding residue 2 may reach the strict core.
-    const auto runs = clip_ack_bounded(s, proto::Ack{0, 2});
+    std::vector<proto::Ack> runs;
+    clip_ack_bounded_into(s, proto::Ack{0, 2}, runs);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0], (proto::Ack{2, 2}));
 }
@@ -100,14 +110,19 @@ TEST(AckClipBounded, StaleResiduesBelowNaAreClipped) {
 TEST(AckClipBounded, MalformedResiduesOutsideDomainIgnored) {
     ba::BoundedSender s(4);
     s.send_new();
-    EXPECT_TRUE(clip_ack_bounded(s, proto::Ack{8, 8}).empty());
-    EXPECT_TRUE(clip_ack_bounded(s, proto::Ack{0, 9}).empty());
+    std::vector<proto::Ack> runs;
+    clip_ack_bounded_into(s, proto::Ack{8, 8}, runs);
+    EXPECT_TRUE(runs.empty());
+    clip_ack_bounded_into(s, proto::Ack{0, 9}, runs);
+    EXPECT_TRUE(runs.empty());
 }
 
 TEST(AckClipBounded, EmptyWindowYieldsNoRuns) {
     ba::BoundedSender s(4);
     walk_na_to(s, 5);
-    EXPECT_TRUE(clip_ack_bounded(s, proto::Ack{4, 6}).empty());
+    std::vector<proto::Ack> runs;
+    clip_ack_bounded_into(s, proto::Ack{4, 6}, runs);
+    EXPECT_TRUE(runs.empty());
 }
 
 // ---------------------------------------------------------- session_util --

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ba/bounded_sender.hpp"
 #include "ba/sender.hpp"
 #include "runtime/ack_clip.hpp"
-#include "runtime/tc_session.hpp"
+#include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 #include "workload/scenario.hpp"
 
@@ -221,7 +223,8 @@ TEST(Scenario, ReplicationReportsSpread) {
 TEST(AckClip, IdentityOnFreshRange) {
     ba::Sender s(4);
     for (int i = 0; i < 4; ++i) s.send_new();
-    const auto runs = runtime::clip_ack_unbounded(s, proto::Ack{0, 3});
+    std::vector<proto::Ack> runs;
+    runtime::clip_ack_unbounded_into(s, proto::Ack{0, 3}, runs);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0], (proto::Ack{0, 3}));
 }
@@ -230,14 +233,17 @@ TEST(AckClip, DropsFullyStale) {
     ba::Sender s(4);
     s.send_new();
     s.on_ack(proto::Ack{0, 0});
-    EXPECT_TRUE(runtime::clip_ack_unbounded(s, proto::Ack{0, 0}).empty());
+    std::vector<proto::Ack> runs;
+    runtime::clip_ack_unbounded_into(s, proto::Ack{0, 0}, runs);
+    EXPECT_TRUE(runs.empty());
 }
 
 TEST(AckClip, SplitsAroundHole) {
     ba::Sender s(6);
     for (int i = 0; i < 6; ++i) s.send_new();
     s.on_ack(proto::Ack{2, 3});  // hole in the middle
-    const auto runs = runtime::clip_ack_unbounded(s, proto::Ack{0, 5});
+    std::vector<proto::Ack> runs;
+    runtime::clip_ack_unbounded_into(s, proto::Ack{0, 5}, runs);
     ASSERT_EQ(runs.size(), 2u);
     EXPECT_EQ(runs[0], (proto::Ack{0, 1}));
     EXPECT_EQ(runs[1], (proto::Ack{4, 5}));
@@ -247,7 +253,8 @@ TEST(AckClip, ClipsPartialOverlap) {
     ba::Sender s(4);
     for (int i = 0; i < 4; ++i) s.send_new();
     s.on_ack(proto::Ack{0, 1});
-    const auto runs = runtime::clip_ack_unbounded(s, proto::Ack{1, 3});
+    std::vector<proto::Ack> runs;
+    runtime::clip_ack_unbounded_into(s, proto::Ack{1, 3}, runs);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0], (proto::Ack{2, 3}));
 }
@@ -261,7 +268,8 @@ TEST(AckClip, BoundedWrappedRange) {
     }
     s.send_new();
     s.send_new();
-    const auto runs = runtime::clip_ack_bounded(s, proto::Ack{3, 0});  // wrapped
+    std::vector<proto::Ack> runs;
+    runtime::clip_ack_bounded_into(s, proto::Ack{3, 0}, runs);  // wrapped
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0].lo, 3u);
     EXPECT_EQ(runs[0].hi, 0u);
@@ -270,7 +278,9 @@ TEST(AckClip, BoundedWrappedRange) {
 TEST(AckClip, BoundedMalformedResiduesIgnored) {
     ba::BoundedSender s(2);
     s.send_new();
-    EXPECT_TRUE(runtime::clip_ack_bounded(s, proto::Ack{7, 7}).empty());
+    std::vector<proto::Ack> runs;
+    runtime::clip_ack_bounded_into(s, proto::Ack{7, 7}, runs);
+    EXPECT_TRUE(runs.empty());
 }
 
 }  // namespace

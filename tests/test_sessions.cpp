@@ -7,11 +7,7 @@
 #include <string>
 #include <tuple>
 
-#include "runtime/abp_session.hpp"
-#include "runtime/ba_session.hpp"
-#include "runtime/gbn_session.hpp"
-#include "runtime/sr_session.hpp"
-#include "runtime/tc_session.hpp"
+#include "runtime/sessions.hpp"
 
 namespace bacp::runtime {
 namespace {

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "link/reliable_link.hpp"
-#include "runtime/ba_session.hpp"
-#include "runtime/duplex_session.hpp"
+#include "link/sim_endpoint.hpp"
+#include "runtime/sessions.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp {
@@ -64,18 +64,18 @@ TEST(Soak, Bounded50kLossyNakAdaptive) {
 }
 
 TEST(Soak, Duplex20kEachWay) {
-    runtime::DuplexConfig cfg;
+    runtime::EngineConfig cfg;
     cfg.w = 16;
-    cfg.count_a_to_b = 20'000;
-    cfg.count_b_to_a = 20'000;
-    cfg.ab_link = runtime::LinkSpec::lossy(0.03);
-    cfg.ba_link = runtime::LinkSpec::lossy(0.03);
+    cfg.count = 20'000;
+    cfg.data_link = runtime::LinkSpec::lossy(0.03);
+    cfg.ack_link = runtime::LinkSpec::lossy(0.03);
     cfg.seed = 406;
-    runtime::DuplexSession session(cfg);
-    const auto result = session.run();
-    ASSERT_TRUE(session.completed());
-    EXPECT_EQ(result.a_to_b.delivered, 20'000u);
-    EXPECT_EQ(result.b_to_a.delivered, 20'000u);
+    link::SimDuplex<ba::EngineCore<ba::Sender, ba::Receiver>> session(
+        cfg, runtime::DuplexSpec{20'000, true});
+    ASSERT_TRUE(session.run());
+    EXPECT_EQ(session.b().delivered(), 20'000u);
+    EXPECT_EQ(session.a().delivered(), 20'000u);
+    EXPECT_EQ(session.a().payload_mismatches() + session.b().payload_mismatches(), 0u);
 }
 
 TEST(Soak, ReliableLink30kChaos) {
