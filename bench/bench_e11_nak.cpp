@@ -36,8 +36,8 @@ Row run_one(double loss, bool nak) {
     const auto r = workload::run_scenario(s);
     Row row;
     row.thr = r.metrics.throughput_msgs_per_sec();
-    row.p50 = to_seconds(r.metrics.latency.quantile(0.5)) * 1e3;
-    row.p99 = to_seconds(r.metrics.latency.quantile(0.99)) * 1e3;
+    row.p50 = to_seconds(r.latency.delivery.quantile(0.5)) * 1e3;
+    row.p99 = to_seconds(r.latency.delivery.quantile(0.99)) * 1e3;
     row.naks = static_cast<double>(r.metrics.naks_sent);
     row.fast = static_cast<double>(r.metrics.fast_retx);
     return row;

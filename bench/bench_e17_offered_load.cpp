@@ -44,8 +44,8 @@ Outcome run_load(double offered_per_sec, double loss) {
     Outcome out;
     out.ok = session.completed();
     out.rate = metrics.throughput_msgs_per_sec();
-    out.p50 = to_seconds(metrics.latency.quantile(0.5)) * 1e3;
-    out.p99 = to_seconds(metrics.latency.quantile(0.99)) * 1e3;
+    out.p50 = to_seconds(session.latency().delivery.quantile(0.5)) * 1e3;
+    out.p99 = to_seconds(session.latency().delivery.quantile(0.99)) * 1e3;
     return out;
 }
 

@@ -265,7 +265,7 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
     // counts exactly the messages the sender has retired.
     const auto acked_total = [&clients] {
         std::uint64_t n = 0;
-        for (const Client& c : clients) n += c.sender->metrics().ack_latency.count();
+        for (const Client& c : clients) n += c.sender->latency().ack.count();
         return n;
     };
     const auto sent_total = [&clients, &server] {
@@ -354,7 +354,7 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
     out.dgrams_per_syscall = out.server_transport.datagrams_per_send_syscall();
 
     Histogram latency(5);
-    for (const Client& c : clients) latency.merge(c.sender->metrics().ack_latency);
+    for (const Client& c : clients) latency.merge(c.sender->latency().ack);
     out.p99_latency_ns = latency.quantile(0.99);
 
     for (const SessionView& v : server.sessions()) {

@@ -20,7 +20,14 @@
 //   - timer cost scales with *due* timers, not armed ones: a pinned
 //     check arms 100k far timers on a net::TimerWheel and verifies idle
 //     polls and a 64-timer expiry both do bounded structural work (the
-//     hierarchical wheel's reason to exist; DESIGN.md section 15).
+//     hierarchical wheel's reason to exist; DESIGN.md section 15);
+//   - the per-session footprint is what Server::session_footprint()
+//     says: the same hook counts live heap bytes, and the heap the
+//     server gains while admitting a point's sessions, per session,
+//     must not exceed the estimate by more than a tolerance.  Each
+//     point also reports resident KB and minor page faults per session
+//     (both sides of the fleet, from /proc and getrusage) and the
+//     fleet's retransmissions.
 //
 //   --quick            smaller sweep (CI smoke; same gates)
 //   --check-budget X   exit nonzero when steady-state allocs per
@@ -28,6 +35,9 @@
 //                      scaling check fails
 //   --check-sessions N exit nonzero unless the top point held >= N
 //                      concurrent server sessions
+//   --check-footprint T exit nonzero when any point's server heap
+//                      bytes per session exceed session_footprint()
+//                      x (1 + T)
 //   --sessions N       override the largest session count
 //   --shards N         server shard (socket + wheel) count, default 2
 //   --sockets N        fleet socket count, default 8
@@ -61,12 +71,24 @@
 // ---- counting allocator hook (same scheme as E20/E21/E22) ------------------
 
 #include <execinfo.h>
+#include <malloc.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+// Live heap bytes, at the allocator's usable size so a free subtracts
+// exactly what its allocation added.
+std::atomic<std::int64_t> g_live_bytes{0};
 std::atomic<bool> g_trace{false};
 
 std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
+std::int64_t live_bytes_now() { return g_live_bytes.load(std::memory_order_relaxed); }
+
+void note_alloc(void* p) {
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+}
 
 constexpr std::size_t kTraceSlots = 64;
 constexpr int kTraceDepth = 10;
@@ -122,7 +144,10 @@ void* operator new(std::size_t size) {
         record_trace();
         g_trace.store(true, std::memory_order_relaxed);
     }
-    if (void* p = std::malloc(size ? size : 1)) return p;
+    if (void* p = std::malloc(size ? size : 1)) {
+        note_alloc(p);
+        return p;
+    }
     throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
@@ -131,6 +156,7 @@ void* operator new(std::size_t size, std::align_val_t align) {
     if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                      (size + static_cast<std::size_t>(align) - 1) &
                                          ~(static_cast<std::size_t>(align) - 1))) {
+        note_alloc(p);
         return p;
     }
     throw std::bad_alloc{};
@@ -138,7 +164,12 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
     return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+    if (p == nullptr) return;
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    std::free(p);
+}
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
@@ -172,6 +203,23 @@ double now_sec() {
     return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
 }
 
+/// Resident set size now, in KB (/proc/self/statm; 0 where unavailable).
+double rss_kb_now() {
+    long total = 0;
+    long resident = 0;
+    if (FILE* f = std::fopen("/proc/self/statm", "r")) {
+        if (std::fscanf(f, "%ld %ld", &total, &resident) != 2) resident = 0;
+        std::fclose(f);
+    }
+    return static_cast<double>(resident) * static_cast<double>(sysconf(_SC_PAGESIZE)) / 1024.0;
+}
+
+std::uint64_t minflt_now() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<std::uint64_t>(ru.ru_minflt);
+}
+
 struct FleetResult {
     std::size_t sessions = 0;
     bool completed = false;
@@ -182,6 +230,15 @@ struct FleetResult {
     std::uint64_t bytes_delivered = 0;
     double dgrams_per_syscall = 0;
     double steady_allocs_per_dgram = 0;
+    // Footprint: the live heap the server gained inside its polls (the
+    // sessions it admitted, plus its tables' growth) per held session,
+    // against its own estimate; resident KB and minor faults per
+    // session cover both sides, from just before the server is built
+    // to the end of the point.
+    double heap_bytes_per_session = 0;
+    std::size_t session_footprint = 0;
+    double rss_kb_per_session = 0;
+    double minflt_per_session = 0;
     Metrics server_transport;
     ServerStats server_stats;
     FleetStats fleet_stats;
@@ -201,6 +258,10 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
     out.sessions = sessions;
 
     SteadyClock clock;
+    malloc_trim(0);  // hand the previous point's freed pages back first
+    const double rss_before_kb = rss_kb_now();
+    const std::uint64_t minflt_before = minflt_now();
+    std::int64_t server_heap_gained = 0;
 
     ServerConfig scfg;
     scfg.session.w = kWindow;
@@ -258,7 +319,9 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
     const double deadline = start + 240.0;
     for (;;) {
         std::size_t work = fleet.poll();
+        const std::int64_t heap_before = live_bytes_now();
         work += server.poll();
+        server_heap_gained += live_bytes_now() - heap_before;
         out.held_peak = std::max(out.held_peak, server.session_count());
         // Steady state begins once the tables, slabs, and wheels are at
         // high water: every session admitted *and answered by the
@@ -306,6 +369,15 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
     }
 
     out.held_final = server.session_count();
+    if (out.held_final > 0) {
+        out.heap_bytes_per_session =
+            static_cast<double>(server_heap_gained) / static_cast<double>(out.held_final);
+    }
+    out.session_footprint = server.session_footprint();
+    out.rss_kb_per_session =
+        (rss_kb_now() - rss_before_kb) / static_cast<double>(sessions);
+    out.minflt_per_session =
+        static_cast<double>(minflt_now() - minflt_before) / static_cast<double>(sessions);
     out.server_transport = server.transport_metrics();
     out.server_stats = server.stats();
     out.fleet_stats = fleet.stats();
@@ -358,6 +430,7 @@ TimerCheck run_timer_check() {
 int main(int argc, char** argv) {
     bool quick = false;
     double budget = -1;
+    double footprint_tolerance = -1;
     std::size_t check_sessions = 0;
     std::size_t shards = 2;
     std::size_t fleet_sockets = 8;
@@ -368,6 +441,8 @@ int main(int argc, char** argv) {
             quick = true;
         } else if (std::strcmp(argv[i], "--check-budget") == 0 && i + 1 < argc) {
             budget = std::atof(argv[++i]);
+        } else if (std::strcmp(argv[i], "--check-footprint") == 0 && i + 1 < argc) {
+            footprint_tolerance = std::atof(argv[++i]);
         } else if (std::strcmp(argv[i], "--check-sessions") == 0 && i + 1 < argc) {
             check_sessions = static_cast<std::size_t>(std::atoll(argv[++i]));
         } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
@@ -385,7 +460,8 @@ int main(int argc, char** argv) {
             offload = *parsed;
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--quick] [--check-budget X] [--check-sessions N] "
+                         "usage: %s [--quick] [--check-budget X] [--check-footprint T] "
+                         "[--check-sessions N] "
                          "[--sessions N] [--shards N] [--sockets N] "
                          "[--offload auto|mmsg|gso|uring]\n",
                          argv[0]);
@@ -411,9 +487,11 @@ int main(int argc, char** argv) {
     }
 
     workload::Table table({"sessions", "held peak", "wall", "msgs/s", "dgrams/sendmmsg",
-                           "steady allocs/dgram", "done"});
+                           "steady allocs/dgram", "heap B/session", "footprint B",
+                           "RSS KB/session", "minflt/session", "data_retx", "done"});
     bench::Json points = bench::Json::array();
     bool over_budget = false;
+    bool over_footprint = false;
     bool incomplete = false;
     std::size_t top_held = 0;
 
@@ -426,6 +504,11 @@ int main(int argc, char** argv) {
                        workload::fmt(r.rate_msgs_per_sec(), 0),
                        workload::fmt(r.dgrams_per_syscall, 2),
                        workload::fmt(r.steady_allocs_per_dgram, 6),
+                       workload::fmt(r.heap_bytes_per_session, 0),
+                       std::to_string(r.session_footprint),
+                       workload::fmt(r.rss_kb_per_session, 2),
+                       workload::fmt(r.minflt_per_session, 2),
+                       std::to_string(r.client_protocol.data_retx),
                        r.completed ? "yes" : "NO"});
         points.push(
             bench::Json::object()
@@ -441,11 +524,22 @@ int main(int argc, char** argv) {
                 .set("dgrams_per_syscall", bench::Json::num(r.dgrams_per_syscall))
                 .set("steady_allocs_per_datagram",
                      bench::Json::num(r.steady_allocs_per_dgram))
+                .set("heap_bytes_per_session", bench::Json::num(r.heap_bytes_per_session))
+                .set("session_footprint",
+                     bench::Json::num(static_cast<std::uint64_t>(r.session_footprint)))
+                .set("rss_kb_per_session", bench::Json::num(r.rss_kb_per_session))
+                .set("minflt_per_session", bench::Json::num(r.minflt_per_session))
+                .set("data_retx", bench::Json::num(r.client_protocol.data_retx))
                 .set("server_transport", bench::counters_json(r.server_transport))
                 .set("server_stats", bench::counters_json(r.server_stats))
                 .set("fleet_stats", bench::counters_json(r.fleet_stats))
                 .set("client_protocol", bench::counters_json(r.client_protocol)));
         if (budget >= 0 && r.steady_allocs_per_dgram > budget) over_budget = true;
+        if (footprint_tolerance >= 0 &&
+            r.heap_bytes_per_session >
+                static_cast<double>(r.session_footprint) * (1.0 + footprint_tolerance)) {
+            over_footprint = true;
+        }
     }
 
     table.print("E24: concurrent session sweep (ClientFleet vs socket-owning Server)");
@@ -487,6 +581,12 @@ int main(int argc, char** argv) {
             std::printf("timer gate: fire_due work must scale with due timers: FAIL\n");
             fail = true;
         }
+    }
+    if (footprint_tolerance >= 0) {
+        std::printf("footprint gate: server heap bytes/session <= session_footprint() x %g: "
+                    "%s\n",
+                    1.0 + footprint_tolerance, over_footprint ? "FAIL" : "ok");
+        if (over_footprint) fail = true;
     }
     if (check_sessions > 0 && top_held < check_sessions) {
         std::printf("session gate: held %zu < required %zu: FAIL\n", top_held,

@@ -38,7 +38,7 @@ void run_block(workload::Table& table, const std::string& label, runtime::AckPol
     table.add_row({label, workload::fmt(loss * 100, 0) + "%",
                    workload::fmt(r.metrics.acks_per_delivered(), 3), workload::fmt(block, 1),
                    workload::fmt(r.metrics.throughput_msgs_per_sec(), 1),
-                   workload::fmt(to_seconds(r.metrics.latency.quantile(0.5)) * 1e3, 1)});
+                   workload::fmt(to_seconds(r.latency.delivery.quantile(0.5)) * 1e3, 1)});
 }
 
 void run_sr(workload::Table& table, double loss) {
@@ -52,7 +52,7 @@ void run_sr(workload::Table& table, double loss) {
     table.add_row({"selective repeat (forced ack/msg)", workload::fmt(loss * 100, 0) + "%",
                    workload::fmt(r.metrics.acks_per_delivered(), 3), "1.0",
                    workload::fmt(r.metrics.throughput_msgs_per_sec(), 1),
-                   workload::fmt(to_seconds(r.metrics.latency.quantile(0.5)) * 1e3, 1)});
+                   workload::fmt(to_seconds(r.latency.delivery.quantile(0.5)) * 1e3, 1)});
 }
 
 }  // namespace

@@ -215,13 +215,14 @@ int main(int argc, char** argv) {
                     (unsigned long long)result.metrics.delivered,
                     result.metrics.throughput_msgs_per_sec(),
                     result.metrics.acks_per_delivered(), result.metrics.retx_fraction(),
-                    (long long)result.metrics.latency.quantile(0.5),
-                    (long long)result.metrics.latency.quantile(0.99),
+                    (long long)result.latency.delivery.quantile(0.5),
+                    (long long)result.latency.delivery.quantile(0.99),
                     (unsigned long long)result.metrics.naks_sent,
                     (unsigned long long)result.metrics.fast_retx);
     } else {
-        std::printf("%s w=%llu: %s\n", workload::to_string(scenario.protocol),
-                    (unsigned long long)scenario.w, result.metrics.summary().c_str());
+        std::printf("%s w=%llu: %s lat{%s}\n", workload::to_string(scenario.protocol),
+                    (unsigned long long)scenario.w, result.metrics.summary().c_str(),
+                    result.latency.delivery.summary().c_str());
         std::printf("completed: %s\n", result.completed ? "yes" : "NO");
     }
     return result.completed ? 0 : 1;

@@ -37,14 +37,15 @@ int main(int argc, char** argv) {
     std::printf("duplex RPC: %llu requests + %llu responses over %.0f%%-lossy links\n",
                 (unsigned long long)kRequests, (unsigned long long)kRequests, loss * 100);
     std::printf("  completed: %s\n", completed ? "yes" : "NO");
-    const auto report = [](const char* name, const sim::Metrics& m) {
+    const auto report = [](const char* name, const auto& endpoint) {
+        const sim::Metrics& m = endpoint.tx_metrics();
+        const Histogram& rtt = endpoint.latency().ack;
         std::printf("  %s: %llu sent, %llu retx, round trip p50 %.2f ms p99 %.2f ms\n", name,
                     (unsigned long long)m.data_new, (unsigned long long)m.data_retx,
-                    to_seconds(m.ack_latency.quantile(0.5)) * 1e3,
-                    to_seconds(m.ack_latency.quantile(0.99)) * 1e3);
+                    to_seconds(rtt.quantile(0.5)) * 1e3, to_seconds(rtt.quantile(0.99)) * 1e3);
     };
-    report("requests  (A->B)", session.a().tx_metrics());
-    report("responses (B->A)", session.b().tx_metrics());
+    report("requests  (A->B)", session.a());
+    report("responses (B->A)", session.b());
     const double delivered =
         static_cast<double>(session.a().delivered() + session.b().delivered());
     std::printf("  frame economy: %.3f frames/message (%llu piggybacked acks, "

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         s.w = w;
         const auto r = workload::run_scenario(s);
         sweep.add_row({std::to_string(w), workload::fmt(r.metrics.throughput_msgs_per_sec(), 1),
-                       workload::fmt(to_seconds(r.metrics.latency.quantile(0.5)) * 1e3, 1),
+                       workload::fmt(to_seconds(r.latency.delivery.quantile(0.5)) * 1e3, 1),
                        workload::fmt(r.metrics.retx_fraction() * 100, 2)});
     }
     sweep.print("block acknowledgment: window scaling on the satellite hop");

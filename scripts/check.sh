@@ -97,9 +97,12 @@ echo "== bench smoke: E23 self-stabilization convergence gate =="
 # sockets) against a socket-owning Server and holds E22's zero-alloc
 # budget once every flat session table, stash, and wheel level is at
 # high water -- plus the hierarchical-wheel scaling check (idle polls
-# over 100k armed timers must do no per-timer work).
-echo "== bench smoke: E24 fleet scale alloc + timer scaling gate =="
-(cd "$BUILD_DIR"/bench && ./bench_e24_fleet_scale --quick --check-budget 0)
+# over 100k armed timers must do no per-timer work) and the footprint
+# gate: the live heap the server gains per admitted session must stay
+# within 25% above Server::session_footprint() (a byte count from the
+# same allocator hook, so it holds under sanitizers too).
+echo "== bench smoke: E24 fleet scale alloc + timer scaling + footprint gate =="
+(cd "$BUILD_DIR"/bench && ./bench_e24_fleet_scale --quick --check-budget 0 --check-footprint 0.25)
 
 # Duplex piggyback gate.  E25 runs bidirectional load through one
 # NetEndpoint per side and requires >= 50% of acks piggybacked on

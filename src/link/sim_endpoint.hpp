@@ -106,10 +106,13 @@ public:
     std::uint64_t standalone_acks() const { return duplex_.standalone_acks(); }
     SimTime timeout_value() const { return duplex_.timeout_value(); }
     const Core& tx_core() const { return duplex_.tx_core(); }
-    /// The sending half's counters (data_new, data_retx, ack latency,
-    /// decode errors) and the receiving half's (deliveries, acks, NAKs).
+    /// The sending half's counters (data_new, data_retx, decode errors)
+    /// and the receiving half's (deliveries, acks, NAKs).
     const sim::Metrics& tx_metrics() const { return duplex_.tx_metrics(); }
     const sim::Metrics& rx_metrics() const { return duplex_.rx_metrics(); }
+    /// This endpoint's latency sink: the ack latency of the messages it
+    /// originated, in simulated time.
+    const sim::LatencyHistograms& latency() const { return latency_; }
 
     void set_decision_log(runtime::DecisionLog* log) { duplex_.set_decision_log(log); }
     void set_payload_source(PayloadSource source) { frames_.set_payload_source(std::move(source)); }
@@ -136,6 +139,7 @@ public:
     void send_nak(const proto::Nak& nak) { frames_.nak(emit(), nak); }
     void on_delivery(Seq true_seq) { frames_.deliver(duplex_.rx_core(), true_seq); }
     void after_step() {}
+    sim::LatencyHistograms& latency() { return latency_; }
 
 private:
     /// The FramePath emitter: one fresh frame per send onto the channel.
@@ -150,6 +154,7 @@ private:
     sim::Simulator& sim_;
     ByteChannel& out_;
     Seq count_;
+    sim::LatencyHistograms latency_;
     net::FramePath<Core> frames_;
     runtime::DuplexDriver<Core, SimEndpoint> duplex_;  // last: uses members above
 };

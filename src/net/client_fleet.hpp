@@ -124,8 +124,9 @@ public:
             session_cfg.batch = 1;
             session_cfg.seed = runtime::mix_seed(cfg_.session.seed, conn);
             session_cfg.conn = wire::Conn{conn, cfg_.epoch};
-            members_.push_back(std::make_unique<Member>(
-                session_cfg, options, *wheel_, sockets_[i % sockets_.size()]->staging));
+            members_.push_back(std::make_unique<Member>(session_cfg, options, *wheel_,
+                                                        sockets_[i % sockets_.size()]->staging,
+                                                        latency_));
         }
     }
 
@@ -173,12 +174,16 @@ public:
         return total;
     }
 
-    /// Per-session protocol counters, summed (allocates; not hot path).
+    /// Per-session protocol counters, summed (not hot path).
     sim::Metrics protocol_metrics() const {
         sim::Metrics total;
         for (const auto& m : members_) total.add_counters_from(m->sender.metrics());
         return total;
     }
+
+    /// The fleet's one latency sink: every session's ack latency, in the
+    /// fleet's clock.
+    const sim::LatencyHistograms& latency() const { return latency_; }
 
 private:
     /// Per-session egress: stages every frame onto the session's
@@ -212,8 +217,9 @@ private:
     };
 
     struct Member {
-        Member(const NetConfig& cfg, const Options& options, TimerWheel& wheel, SendBatch& out)
-            : egress(out), sender(cfg, options, wheel, egress) {}
+        Member(const NetConfig& cfg, const Options& options, TimerWheel& wheel, SendBatch& out,
+               sim::LatencyHistograms& latency)
+            : egress(out), sender(cfg, options, wheel, egress, &latency) {}
         FleetEgress egress;        // declared first: sender holds a reference
         NetEndpoint<Core> sender;
         bool touched = false;
@@ -267,6 +273,7 @@ private:
     FleetConfig cfg_;
     std::unique_ptr<TimerWheel> wheel_;  // shared by every session
     RecvBatch rx_;                       // shared receive arena
+    sim::LatencyHistograms latency_;     // shared latency sink
     std::vector<std::unique_ptr<Socket>> sockets_;
     std::vector<std::unique_ptr<Member>> members_;
     std::size_t next_start_ = 0;

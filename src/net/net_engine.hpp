@@ -190,10 +190,17 @@ public:
 
     /// \p wheel is this endpoint's (and, when impaired, its Impairer's)
     /// timer wheel; poll() fires it, so both must live on one thread.
-    NetEndpoint(const NetConfig& cfg, Options options, TimerWheel& wheel, Transport& transport)
+    /// \p latency is the host's sink when a Server shard or a
+    /// ClientFleet runs this endpoint among many (it must outlive the
+    /// endpoint and live on the wheel's thread); nullptr gives a
+    /// standalone endpoint a sink of its own.
+    NetEndpoint(const NetConfig& cfg, Options options, TimerWheel& wheel, Transport& transport,
+                sim::LatencyHistograms* latency = nullptr)
         : cfg_(cfg),
           wheel_(wheel),
           transport_(&transport),
+          own_latency_(latency ? nullptr : std::make_unique<sim::LatencyHistograms>()),
+          latency_(latency ? latency : own_latency_.get()),
           frames_(cfg_, cfg_.rx_count, cfg_.payload_size, cfg_.stream, cfg_.conn),
           duplex_(cfg_.engine_config(), cfg_.duplex_spec(), std::move(options), *this) {
         // Worst case live timers: one per outstanding message (per-message
@@ -208,8 +215,11 @@ public:
         // by a full receive arena, and the retransmissions those acks
         // release -- all before the poll's flush; size the batch builder
         // for that now rather than letting it creep to high water
-        // mid-run.
-        const std::size_t burst = 4 * static_cast<std::size_t>(cfg_.w) + 32;
+        // mid-run.  Unbatched, every frame flushes as it is staged, so
+        // one frame is the high water: a Server or ClientFleet session,
+        // whose host does the batching, reserves just that.
+        const std::size_t burst =
+            cfg_.effective_batch() <= 1 ? 1 : 4 * static_cast<std::size_t>(cfg_.w) + 32;
         tx_batch_.reserve(burst, burst * (cfg_.payload_size + 128));
         batch_cap_ = burst;
     }
@@ -279,18 +289,19 @@ public:
     const Core& tx_core() const { return duplex_.tx_core(); }
     const Core& rx_core() const { return duplex_.rx_core(); }
 
-    /// Field-wise sum of both halves' counters, with the receiving
-    /// half's delivery-latency histogram and the sending half's
-    /// ack-latency histogram riding along.  Recomputed per call into a
-    /// stable member, so the reference outlives the call.
-    const sim::Metrics& metrics() const {
-        merged_ = duplex_.tx_metrics();
-        merged_.add_counters_from(duplex_.rx_metrics());
-        merged_.latency = duplex_.rx_metrics().latency;
-        return merged_;
+    /// Field-wise sum of both halves' counters (time stamps: the
+    /// sending half's).
+    sim::Metrics metrics() const {
+        sim::Metrics m = duplex_.tx_metrics();
+        m.add_counters_from(duplex_.rx_metrics());
+        return m;
     }
     const sim::Metrics& tx_metrics() const { return duplex_.tx_metrics(); }
     const sim::Metrics& rx_metrics() const { return duplex_.rx_metrics(); }
+    /// The sink this endpoint records latency into: its own when
+    /// standalone, else the host's, shared with every endpoint the host
+    /// runs.
+    const sim::LatencyHistograms& latency() const { return *latency_; }
 
     /// Attach (or detach, with nullptr) a protocol-decision recorder;
     /// both halves share it ('S' / 'R' endpoint chars keep the streams
@@ -328,6 +339,8 @@ public:
 
     void after_step() {}
 
+    sim::LatencyHistograms& latency() { return *latency_; }
+
 private:
     /// The FramePath emitter: encode straight onto the batch slab, then
     /// flush when unbatched sending is configured, or when the builder
@@ -357,11 +370,12 @@ private:
     NetConfig cfg_;
     TimerWheel& wheel_;
     Transport* transport_;
+    std::unique_ptr<sim::LatencyHistograms> own_latency_;  // standalone only
+    sim::LatencyHistograms* latency_;                      // own_latency_ or the host's
     FramePath<Core> frames_;
     std::unique_ptr<RecvBatch> rx_batch_;  // lazy: see rx_batch()
     SendBatch tx_batch_;                   // the tick's staged frames
     std::size_t batch_cap_ = 0;            // reserved burst; see ctor
-    mutable sim::Metrics merged_;          // metrics() scratch
     runtime::DuplexDriver<Core, NetEndpoint> duplex_;  // last: uses members above
 };
 

@@ -40,9 +40,13 @@ public:
     /// \p expected_live sizes the initial table (rounded up to a power
     /// of two with 2x headroom); the stash grows beyond it on demand.
     explicit PayloadStash(std::size_t expected_live = 16) {
-        std::size_t cap = 8;
-        while (cap < expected_live * 2) cap <<= 1;
-        slots_.resize(cap);
+        slots_.resize(initial_capacity(expected_live));
+    }
+
+    /// Bytes of the slot table a stash sized for \p expected_live starts
+    /// with (parked buffers excluded) -- for footprint estimates.
+    static std::size_t table_bytes(std::size_t expected_live) {
+        return initial_capacity(expected_live) * sizeof(Slot);
     }
 
     std::size_t size() const { return live_; }
@@ -134,6 +138,12 @@ public:
 
 private:
     enum class State : std::uint8_t { Empty, Occupied };
+
+    static std::size_t initial_capacity(std::size_t expected_live) {
+        std::size_t cap = 8;
+        while (cap < expected_live * 2) cap <<= 1;
+        return cap;
+    }
 
     struct Slot {
         State state = State::Empty;

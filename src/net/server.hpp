@@ -105,10 +105,11 @@ struct ServerConfig {
     /// evict_on_pressure frees a victim first.
     std::size_t max_sessions = 1 << 16;
     /// Per-shard session-memory budget in bytes (0 = uncapped).  The
-    /// effective shard cap is min(max_sessions, budget / footprint)
-    /// where the footprint counts the session record, driver, and the
-    /// w-sized payload stash -- out-of-order caching is a budgeted
-    /// resource, not an implicit per-session given.
+    /// effective shard cap is min(max_sessions, budget /
+    /// Server::session_footprint()), the per-session bytes a test holds
+    /// to a measurement -- dominated at large w by the w-sized payload
+    /// stash: out-of-order caching is a budgeted resource, not an
+    /// implicit per-session given.
     std::size_t arena_budget = 0;
     /// At the cap, evict the least-recently-active session to admit a
     /// new peer (LRU-ish, sampled) instead of rejecting it.
@@ -227,8 +228,8 @@ struct SessionView {
     Seq delivered = 0;
     std::uint64_t bytes_delivered = 0;
     std::uint64_t payload_mismatches = 0;
-    Metrics transport;  // egress totals (+ impairment decisions if any)
-    const sim::Metrics* protocol = nullptr;  // driver counters; server-owned
+    Metrics transport;     // egress totals (+ impairment decisions if any)
+    sim::Metrics protocol;  // driver counters, both halves summed
 };
 
 std::pair<std::vector<std::unique_ptr<UdpTransport>>, std::uint16_t> inline make_reuseport_shards(
@@ -282,6 +283,37 @@ public:
 
     /// Effective per-shard session cap after the arena budget.
     std::size_t session_cap() const { return shard_cap_; }
+
+    /// Resident bytes per session, as arena_budget charges them: the
+    /// session's table slot, the endpoint (config, frame path and both
+    /// driver halves -- counters only) and its egress, the out-of-order
+    /// payload stash (slot table plus w+1 parked buffers), the one-frame
+    /// staging buffer (a session flushes every frame into the shard
+    /// batch), the payload scratch, the two driver halves' w-sized resend
+    /// scratch, and -- for a session that also sources session.count
+    /// messages -- its sending half's per-seq tables.  Each heap block is
+    /// charged the allocator's granule.  Latency histograms are per
+    /// shard, not per session, and a receiving half reserves nothing by
+    /// rx_count.  tests/test_footprint.cpp holds this to the heap
+    /// admitted sessions measurably take, within 10%.
+    std::size_t session_footprint() const {
+        constexpr std::size_t kBlock = 16;  // malloc header + rounding, per block
+        const std::size_t w = static_cast<std::size_t>(cfg_.session.w);
+        const std::size_t payload = cfg_.session.payload_size;
+        const std::size_t objects =
+            sizeof(Session) + sizeof(NetEndpoint<Core>) + sizeof(SessionEgress) + 2 * kBlock;
+        const std::size_t stash = PayloadStash::table_bytes(w + 1) + kBlock +
+                                  (w + 1) * (payload + kBlock + sizeof(std::vector<std::uint8_t>));
+        const std::size_t staging = (payload + 128 + kBlock) + (payload + kBlock);
+        const std::size_t scratch = 2 * (w + 1) * 2 * sizeof(Seq);
+        const Seq count = cfg_.session.count;
+        const std::size_t send_tables =
+            count == 0 || count == runtime::kUnboundedCount
+                ? 0
+                : static_cast<std::size_t>(count) * (2 * sizeof(SimTime) + sizeof(TimerId)) +
+                      3 * kBlock + payload + kBlock;
+        return objects + stash + staging + scratch + send_tables;
+    }
 
     /// One event-loop iteration of shard \p idx: fire its wheel, drain
     /// its socket (demuxing each datagram to its session), flush the
@@ -395,25 +427,20 @@ public:
     /// Per-session protocol counters, summed (live sessions).
     sim::Metrics protocol_metrics() const {
         sim::Metrics total;
-        bool first = true;
         for (const auto& s : shards_) {
-            s->sessions.for_each([&](const SessionKey&, const Session& session) {
-                const sim::Metrics& m = session.endpoint->metrics();
-                if (first) {
-                    total = m;
-                    first = false;
-                } else {
-                    total.data_received += m.data_received;
-                    total.duplicates += m.duplicates;
-                    total.acks_sent += m.acks_sent;
-                    total.dup_acks += m.dup_acks;
-                    total.delivered += m.delivered;
-                    total.naks_sent += m.naks_sent;
-                    total.decode_errors += m.decode_errors;
-                    total.crc_errors += m.crc_errors;
-                }
+            s->sessions.for_each([&total](const SessionKey&, const Session& session) {
+                total.add_counters_from(session.endpoint->metrics());
             });
         }
+        return total;
+    }
+
+    /// Every shard's latency sink, merged: each session the server has
+    /// run (evicted and reset ones included) recorded into its shard's.
+    /// Call with the shards quiescent (allocates; not hot path).
+    sim::LatencyHistograms latency() const {
+        sim::LatencyHistograms total;
+        for (const auto& s : shards_) total.merge(s->latency);
         return total;
     }
 
@@ -431,7 +458,7 @@ public:
                 v.bytes_delivered = session.endpoint->bytes_delivered();
                 v.payload_mismatches = session.endpoint->payload_mismatches();
                 v.transport = session_transport(session);
-                v.protocol = &session.endpoint->metrics();
+                v.protocol = session.endpoint->metrics();
                 views.push_back(std::move(v));
             });
         }
@@ -461,7 +488,7 @@ public:
             out += ",\"transport\":";
             out += v.transport.to_json();
             out += ",\"protocol\":";
-            out += v.protocol->to_json();
+            out += v.protocol.to_json();
             out += "}";
         }
         out += "]}";
@@ -499,6 +526,8 @@ private:
         std::unique_ptr<TimerWheel> wheel;
         RecvBatch rx{1};
         AddressedSendBatch tx;
+        /// The one latency sink every session on this shard records into.
+        sim::LatencyHistograms latency;
         /// Flat open-addressing table over a contiguous Session slab:
         /// demux is one probe run with no node chase, erase is
         /// tombstone-free, and steady state never allocates.
@@ -620,7 +649,7 @@ private:
             s.has_impaired = true;
         }
         session.endpoint =
-            std::make_unique<NetEndpoint<Core>>(cfg, options_, *s.wheel, *sink);
+            std::make_unique<NetEndpoint<Core>>(cfg, options_, *s.wheel, *sink, &s.latency);
         // A duplex session (count > 0) starts originating immediately:
         // the first frame from the peer both opened the session and
         // proved the reverse path.
@@ -650,18 +679,6 @@ private:
             ++s.stats.sessions_evicted;
         }
         return s.evict_scratch.size();
-    }
-
-    /// Estimated resident bytes per session: the slab record, the
-    /// driver/endpoint adapter, and the dominant term -- the w-sized
-    /// out-of-order payload stash (w+1 parked buffers).  Timer nodes
-    /// ride on the shared wheel (~4 per session).  An estimate, not an
-    /// accounting: the budget steers the cap, the cap is exact.
-    std::size_t session_footprint() const {
-        const std::size_t w = static_cast<std::size_t>(cfg_.session.w);
-        return sizeof(Session) + sizeof(NetEndpoint<Core>) + sizeof(SessionEgress) +
-               (w + 1) * (cfg_.session.payload_size + sizeof(std::vector<std::uint8_t>)) +
-               4 * 128;
     }
 
     std::size_t shard_session_cap() const {

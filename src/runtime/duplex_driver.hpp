@@ -81,6 +81,7 @@ concept DuplexDriverEnvironment =
         env.send_nak(nak);
         env.on_delivery(seq);
         env.after_step();
+        { env.latency() } -> std::same_as<sim::LatencyHistograms&>;
     };
 // clang-format on
 
@@ -214,6 +215,7 @@ private:
         }
         void on_delivery(Seq) { BACP_ASSERT_MSG(false, "sending half delivered data"); }
         void after_step() { self->env_.after_step(); }
+        sim::LatencyHistograms& latency() { return self->env_.latency(); }
     };
 
     struct RxHalf {
@@ -229,6 +231,7 @@ private:
         void send_nak(const proto::Nak& nak) { self->env_.send_nak(nak); }
         void on_delivery(Seq true_seq) { self->env_.on_delivery(true_seq); }
         void after_step() { self->env_.after_step(); }
+        sim::LatencyHistograms& latency() { return self->env_.latency(); }
     };
 
     /// Deferral widens the window between an ack's protocol decision and

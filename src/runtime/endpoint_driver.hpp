@@ -10,11 +10,13 @@
 /// path, in-order delivery accounting, and the derived-timeout
 /// computation.  The discrete-event runtime::Engine and the real-time
 /// net::NetEndpoint (via DuplexDriver) are thin adapters over this class:
-/// they supply an *Environment* -- a clock, a TimerService, and egress /
-/// delivery / verification hooks -- and forward arriving protocol
-/// messages to handle_ack / handle_nak / handle_data.  The driver logic
-/// therefore exists exactly once and is exercised identically over
-/// virtual and wall-clock time (tests/test_driver_parity.cpp pins that).
+/// they supply an *Environment* -- a clock, a TimerService, egress /
+/// delivery / verification hooks, and the latency sink the driver
+/// records into (its own sim::Metrics holds counters only) -- and
+/// forward arriving protocol messages to handle_ack / handle_nak /
+/// handle_data.  The driver logic therefore exists exactly once and is
+/// exercised identically over virtual and wall-clock time
+/// (tests/test_driver_parity.cpp pins that).
 ///
 /// The one genuine environment difference is expressed as a capability
 /// rather than forked code: Env::kHasOracle.  A DES can *prove*
@@ -207,6 +209,10 @@ concept DriverEnvironment =
         /// After every completed protocol step (arrival or ack flush) --
         /// the DES invariant-check hook; no-op in the net runtime.
         env.after_step();
+        /// The latency sink the driver records into.  The environment
+        /// owns it, so a host running many sessions (a server shard, a
+        /// client fleet) keeps one sink, not one per session.
+        { env.latency() } -> std::same_as<sim::LatencyHistograms&>;
     };
 // clang-format on
 
@@ -270,13 +276,8 @@ public:
         static_assert(DriverEnvironment<Env>);
         timeout_ = effective_timeout(cfg_);
         data_lifetime_ = cfg_.data_link.max_lifetime();
-        // Pre-size the per-seq tables and the candidate scratch so the
-        // steady-state loop never touches the allocator.
-        const std::size_t presize = cfg_.count == kUnboundedCount ? 0 : cfg_.count;
-        txlog_.reserve(presize);
-        first_send_.reserve(presize);
-        if (cfg_.arrival_interval > 0) arrival_time_.reserve(presize);
-        if (mode_ == TimeoutMode::PerMessageTimer) pm_timers_.reserve(presize);
+        // Pre-size the candidate scratch so the steady-state loop never
+        // touches the allocator (the per-seq tables: see start()).
         seq_scratch_.reserve(cfg_.w + 1);
     }
 
@@ -296,6 +297,16 @@ public:
     /// (all upfront, or via the open-loop arrival process), and pumps the
     /// first window.  Call once, from the sending endpoint.
     void start() {
+        // Pre-size the sender's per-seq tables so the steady-state loop
+        // never touches the allocator.  Here, not in the constructor:
+        // only a sending driver starts, so a receiving half -- whose
+        // count may be huge (an open-ended server session) -- reserves
+        // nothing it would never fill.
+        const std::size_t presize = cfg_.count == kUnboundedCount ? 0 : cfg_.count;
+        txlog_.reserve(presize);
+        first_send_.reserve(presize);
+        if (cfg_.arrival_interval > 0) arrival_time_.reserve(presize);
+        if (mode_ == TimeoutMode::PerMessageTimer) pm_timers_.reserve(presize);
         metrics_.start_time = env_.now();
         if (cfg_.app_arrivals) {
             // Nothing to release yet: the application feeds messages in
@@ -331,7 +342,7 @@ public:
         while (ack_cursor_ < sent_new_ && !core_.can_resend(ack_cursor_)) {
             const SimTime sent = first_send_.get(ack_cursor_);
             if (sent != SeqTimeTable::kNever) {
-                metrics_.ack_latency.add(env_.now() - sent);
+                env_.latency().ack.add(env_.now() - sent);
             }
             // Reclaim the retired message's expiry timer now instead of
             // letting it fire as a no-op: lazy cancellation would keep
@@ -776,10 +787,10 @@ private:
         // records no latency (its clock is not the sender's).
         const SimTime arrived = arrival_time_.get(true_seq);
         if (arrived != SeqTimeTable::kNever) {
-            metrics_.latency.add(env_.now() - arrived);
+            env_.latency().delivery.add(env_.now() - arrived);
         } else {
             const SimTime sent = first_send_.get(true_seq);
-            if (sent != SeqTimeTable::kNever) metrics_.latency.add(env_.now() - sent);
+            if (sent != SeqTimeTable::kNever) env_.latency().delivery.add(env_.now() - sent);
         }
         if (delivered_ == cfg_.count) metrics_.end_time = env_.now();
     }

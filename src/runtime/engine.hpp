@@ -112,7 +112,7 @@ public:
     Engine& operator=(const Engine&) = delete;
 
     /// Runs the transfer to completion (or deadline/event cap) and
-    /// returns the measurements.
+    /// returns the counters; the latency distributions are in latency().
     sim::Metrics run() {
         driver_.start();
         sim_.run_until(cfg_.deadline, cfg_.max_events);
@@ -138,6 +138,8 @@ public:
     TimeoutMode timeout_mode() const { return driver_.mode(); }
     const Core& core() const { return driver_.core(); }
     const sim::Metrics& metrics() const { return driver_.metrics(); }
+    /// Delivery and ack latency of the run, in simulated time.
+    const sim::LatencyHistograms& latency() const { return latency_; }
     const sim::TraceRecorder& trace() const { return trace_; }
     sim::Simulator& simulator() { return sim_; }
     const std::vector<std::string>& invariant_violations() const { return violations_; }
@@ -217,6 +219,8 @@ public:
 
     void after_step() { maybe_check_invariants(); }
 
+    sim::LatencyHistograms& latency() { return latency_; }
+
 private:
     static constexpr bool kInvariantCheckable = Core::kInvariantCheckable;
 
@@ -250,6 +254,7 @@ private:
     Rng rng_data_;
     Rng rng_ack_;
     sim::TraceRecorder trace_;
+    sim::LatencyHistograms latency_;
     sim::SimChannel data_ch_;
     sim::SimChannel ack_ch_;
     std::vector<std::string> violations_;

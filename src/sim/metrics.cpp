@@ -31,7 +31,6 @@ std::string Metrics::summary() const {
     if (decode_errors > 0) {
         os << " decode_errs=" << decode_errors << "(" << crc_errors << "crc)";
     }
-    os << " lat{" << latency.summary() << "}";
     return os.str();
 }
 

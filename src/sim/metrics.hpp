@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/histogram.hpp"
 #include "common/metrics_table.hpp"
@@ -13,6 +14,11 @@
 
 namespace bacp::sim {
 
+/// Per-driver protocol counters.  Counters only: a session's record is a
+/// fixed handful of words, copied and summed by value.  The latency
+/// distributions live in a LatencyHistograms sink owned by the
+/// environment (one per DES engine or endpoint, per standalone net
+/// endpoint, per server shard, per client fleet), not here.
 struct Metrics {
     // Sender side.
     std::uint64_t data_new = 0;        // first transmissions (action 0)
@@ -45,17 +51,6 @@ struct Metrics {
     SimTime start_time = 0;
     SimTime end_time = 0;
 
-    /// Send-to-accept latency per message (first transmission to the
-    /// moment nr passes it), in simulated nanoseconds.
-    Histogram latency{5};
-
-    /// Sender-observed ack latency per message (first transmission to
-    /// the ack that retired it), in the sender's clock.  The receiver's
-    /// `latency` needs both endpoints' tables in one driver (true in the
-    /// DES); this one fills at any sending endpoint, so split-process
-    /// runs (net clients against a Server) still get a latency figure.
-    Histogram ack_latency{5};
-
     SimTime elapsed() const { return end_time - start_time; }
 
     /// Accepted messages per simulated second.
@@ -74,9 +69,9 @@ struct Metrics {
     using Field = MetricsField;
     static constexpr std::size_t kFieldCount = 15;
 
-    /// The counter table (common/metrics_table.hpp): time stamps and the
-    /// latency histograms are not counters and stay out; consumers
-    /// report those through their own fields.
+    /// The counter table (common/metrics_table.hpp): time stamps are not
+    /// counters and stay out; consumers report them through their own
+    /// fields.
     static constexpr std::array<CounterDef<Metrics>, kFieldCount> kCounters = {{
         {"data_new", &Metrics::data_new},
         {"data_retx", &Metrics::data_retx},
@@ -101,13 +96,38 @@ struct Metrics {
     std::array<Field, kFieldCount> fields() const { return counter_fields(*this, kCounters); }
 
     /// Sum every tabled protocol counter of `o` into this record.  Times
-    /// and histograms are left alone -- merge those by hand where the
-    /// aggregation semantics are known (e.g. ClientFleet keeps its own
-    /// merged ack-latency histogram).
+    /// are left alone -- merge those by hand where the aggregation
+    /// semantics are known.
     void add_counters_from(const Metrics& o) { add_counters(*this, o, kCounters); }
 
     /// Flat JSON object of every counter.
     std::string to_json() const { return fields_json(fields()); }
+};
+
+// A session's protocol state must stay counters only: anything that
+// allocates (a histogram, a table) belongs in an environment-owned sink.
+static_assert(std::is_trivially_copyable_v<Metrics>);
+
+/// The latency distributions the protocol driver records, in the
+/// driver's clock.  An environment owns one sink and every driver it
+/// hosts records into it, so a server shard or a client fleet holds one
+/// pair of histograms however many sessions it runs.
+struct LatencyHistograms {
+    /// Send-to-accept latency per message (first transmission -- or, in
+    /// an open loop, arrival -- to the moment nr passes it).  Needs both
+    /// endpoints' tables in one driver, so it fills in the DES only.
+    Histogram delivery{5};
+
+    /// Sender-observed ack latency per message (first transmission to
+    /// the ack that retired it).  Fills at any sending endpoint, so
+    /// split-process runs (net clients against a Server) still get a
+    /// latency figure.
+    Histogram ack{5};
+
+    void merge(const LatencyHistograms& o) {
+        delivery.merge(o.delivery);
+        ack.merge(o.ack);
+    }
 };
 
 }  // namespace bacp::sim

@@ -79,6 +79,7 @@ ScenarioResult run_session(const Scenario& s, typename Session::Options options 
     Session session(engine_config(s), options);
     ScenarioResult result;
     result.metrics = session.run();
+    result.latency = session.latency();
     result.completed = session.completed();
     return result;
 }
@@ -117,8 +118,8 @@ AggregateResult run_replicated(Scenario scenario, int replications) {
         throughput.add(result.metrics.throughput_msgs_per_sec());
         aggregate.mean_acks_per_msg += result.metrics.acks_per_delivered();
         aggregate.mean_retx_fraction += result.metrics.retx_fraction();
-        aggregate.mean_latency_p50 += static_cast<double>(result.metrics.latency.quantile(0.5));
-        aggregate.mean_latency_p99 += static_cast<double>(result.metrics.latency.quantile(0.99));
+        aggregate.mean_latency_p50 += static_cast<double>(result.latency.delivery.quantile(0.5));
+        aggregate.mean_latency_p99 += static_cast<double>(result.latency.delivery.quantile(0.99));
     }
     if (aggregate.completed_runs > 0) {
         const double n = aggregate.completed_runs;

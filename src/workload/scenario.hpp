@@ -60,6 +60,7 @@ struct Scenario {
 
 struct ScenarioResult {
     sim::Metrics metrics;
+    sim::LatencyHistograms latency;
     bool completed = false;
 };
 

@@ -92,7 +92,7 @@ TEST(OpenLoop, FixedArrivalsPaceTheTransfer) {
     // the delivered rate matches the offered rate, not the link capacity.
     EXPECT_NEAR(metrics.throughput_msgs_per_sec(), 100.0, 2.0);
     // Sojourn = one RTT-ish transfer latency (no queueing).
-    EXPECT_LT(metrics.latency.quantile(0.99), 5 * kMillisecond);
+    EXPECT_LT(session.latency().delivery.quantile(0.99), 5 * kMillisecond);
 }
 
 TEST(OpenLoop, PoissonArrivalsAreDeterministicPerSeed) {
@@ -122,7 +122,7 @@ TEST(OpenLoop, OverloadQueuesButStillDeliversEverything) {
     EXPECT_EQ(metrics.delivered, 500u);
     // Saturated: delivered rate == capacity, sojourn >> one RTT.
     EXPECT_NEAR(metrics.throughput_msgs_per_sec(), 400.0, 20.0);
-    EXPECT_GT(metrics.latency.quantile(0.5), 50 * kMillisecond);
+    EXPECT_GT(session.latency().delivery.quantile(0.5), 50 * kMillisecond);
 }
 
 TEST(OpenLoop, ClosedLoopByDefault) {

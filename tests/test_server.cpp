@@ -146,7 +146,7 @@ TEST(Server, MultiSessionTransfersComplete) {
         EXPECT_EQ(v.delivered, kCount);
         EXPECT_EQ(v.bytes_delivered, kCount * 64u);
         EXPECT_EQ(v.payload_mismatches, 0u);
-        EXPECT_EQ(v.protocol->delivered, kCount);
+        EXPECT_EQ(v.protocol.delivered, kCount);
     }
 
     // Aggregate protocol view sums the per-session counters.
@@ -155,6 +155,43 @@ TEST(Server, MultiSessionTransfersComplete) {
     const Metrics transport = server.transport_metrics();
     EXPECT_GT(transport.datagrams_sent, 0u);
     EXPECT_GE(transport.datagrams_received, kCount * kSessions);
+}
+
+TEST(Server, ProtocolMetricsSumEverySourcingSession) {
+    // Duplex sessions: each one sinks its client's transfer and sources
+    // one of its own back.  The aggregate must carry every session's
+    // sending-half counters, not only the first session's.
+    ManualClock clock;
+    InprocHub hub;
+    constexpr Seq kCount = 12;
+    constexpr Seq kBack = 9;
+    constexpr std::size_t kSessions = 3;
+    ServerConfig cfg = server_config();
+    cfg.session.count = kBack;
+    Server<Core> server(cfg, {}, clock, {&hub.server()});
+    std::vector<Client> clients;
+    for (std::size_t i = 0; i < kSessions; ++i) {
+        NetConfig c = client_config(kCount, wire::Conn{static_cast<Seq>(i + 1), 1});
+        c.rx_count = kBack;
+        clients.push_back(make_client(hub, clock, c));
+    }
+    drive(clock, server, raw(clients));
+    for (const Client& c : clients) {
+        EXPECT_TRUE(c.sender->done());
+        EXPECT_EQ(c.sender->delivered(), kBack);
+    }
+
+    sim::Metrics sum;
+    for (const SessionView& v : server.sessions()) sum.add_counters_from(v.protocol);
+    const sim::Metrics total = server.protocol_metrics();
+    EXPECT_EQ(total.data_new, kBack * kSessions);
+    // The shards' sinks hold every sourced message's ack latency.
+    EXPECT_EQ(server.latency().ack.count(), kBack * kSessions);
+    const auto totals = total.fields();
+    const auto sums = sum.fields();
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+        EXPECT_EQ(totals[i].value, sums[i].value) << totals[i].name;
+    }
 }
 
 TEST(Server, UntaggedV1PeerMapsToConnZeroAndGetsV1Replies) {
@@ -426,6 +463,8 @@ TEST(ClientFleet, ManySessionsOverFewSocketsCompleteWithinAdmissionWindow) {
     EXPECT_LE(max_active_seen, 8u);  // the ramp never exceeds the window
     EXPECT_EQ(stats.decode_errors, 0u);
     EXPECT_EQ(stats.unknown_conn_drops, 0u);
+    // The fleet's one sink holds every session's ack latency.
+    EXPECT_EQ(fleet.latency().ack.count(), 24u * 12u);
 
     // Every session landed, demuxed, and delivered fully at the server.
     EXPECT_EQ(server.stats().sessions_opened, 24u);
@@ -560,7 +599,7 @@ TEST(Server, ImpairmentSeedEquivalentToSingleSessionRun) {
         drive(clock, server, raw(clients));
         for (Client& c : clients) EXPECT_TRUE(c.sender->done());
         for (const SessionView& v : server.sessions()) {
-            if (v.conn == probe) return std::make_pair(*v.protocol, v.transport);
+            if (v.conn == probe) return std::make_pair(v.protocol, v.transport);
         }
         ADD_FAILURE() << "probe session missing";
         return std::make_pair(sim::Metrics{}, Metrics{});
@@ -655,7 +694,7 @@ TEST(Server, RunThreadsServesRealUdpClients) {
     const sim::Metrics proto = server.protocol_metrics();
     EXPECT_EQ(proto.delivered, static_cast<std::uint64_t>(kClients) * kCount);
     for (UdpClient& c : clients) {
-        EXPECT_EQ(c.sender->metrics().ack_latency.count(), kCount);
+        EXPECT_EQ(c.sender->latency().ack.count(), kCount);
     }
 }
 
