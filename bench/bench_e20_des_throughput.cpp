@@ -26,12 +26,10 @@
 //                      exceeds X (the checked-in budget lives in
 //                      scripts/check.sh)
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -39,49 +37,11 @@
 #include "runtime/sessions.hpp"
 #include "workload/report.hpp"
 
-// ---- counting allocator hook -----------------------------------------------
-// Replacing global operator new/delete in the bench binary counts every
-// heap allocation made anywhere in the process -- engine, cores, channels,
-// queue -- with no library instrumentation to drift out of date.
+// ---- counting allocator hook ----------------------------------------------
+// memory_probe.hpp replaces global operator new/delete for this binary:
+// every heap allocation made anywhere in the process is counted.
 
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_frees{0};
-
-std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) &
-                                         ~(static_cast<std::size_t>(align) - 1))) {
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept {
-    if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
-    std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
+#include "memory_probe.hpp"
 
 // ---- the bench -------------------------------------------------------------
 
@@ -137,15 +97,15 @@ Measure run_one(double loss, Seq count) {
     std::uint64_t allocs_at_half = 0, allocs_at_end = 0;
     std::uint64_t events_at_half = 0, events_at_end = 0;
     sim.schedule_at(end_time / 2, [&] {
-        allocs_at_half = allocs_now();
+        allocs_at_half = memprobe::allocs_now();
         events_at_half = sim.total_fired();
     });
     sim.schedule_at(end_time, [&] {
-        allocs_at_end = allocs_now();
+        allocs_at_end = memprobe::allocs_now();
         events_at_end = sim.total_fired();
     });
 
-    const std::uint64_t allocs_before = allocs_now();
+    const std::uint64_t allocs_before = memprobe::allocs_now();
     const auto wall_start = std::chrono::steady_clock::now();
     session.run();
     const auto wall_end = std::chrono::steady_clock::now();
@@ -154,7 +114,7 @@ Measure run_one(double loss, Seq count) {
     out.completed = session.completed();
     out.events = sim.total_fired();
     out.wall_sec = std::chrono::duration<double>(wall_end - wall_start).count();
-    out.allocs_total = allocs_now() - allocs_before;
+    out.allocs_total = memprobe::allocs_now() - allocs_before;
     out.allocs_steady = allocs_at_end - allocs_at_half;
     out.events_steady = events_at_end - events_at_half;
     return out;

@@ -13,10 +13,12 @@
 // 1000 sessions over the single-session rate for the same bytes.
 // Reported per point: aggregate goodput, server-side datagrams per
 // syscall, p99 send-to-accept ack latency (merged across every client's
-// driver histogram), bytes per session, and steady-state allocations
-// per received datagram under the same counting-allocator hook as
-// E20/E21 -- the second half of each run must not allocate at all once
-// arenas, slabs, stashes, and session tables reach high-water mark.
+// driver histogram), bytes per session, resident KB and minor page
+// faults per session (both sides), the clients' retransmissions, and
+// steady-state allocations per received datagram under the same
+// counting-allocator hook as E20/E21 -- the second half of each run
+// must not allocate at all once arenas, slabs, stashes, and session
+// tables reach high-water mark.
 //
 //   --quick            smaller sweep (CI smoke; same gate)
 //   E22_ALLOC_PROBE=1  (env) dump backtraces of every steady-state
@@ -31,13 +33,11 @@
 //                      server's GRO coalesces), mmsg, gso, uring --
 //                      unavailable tiers fall back per resolve_offload
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -53,95 +53,11 @@
 #include "net/transport.hpp"
 #include "workload/report.hpp"
 
-// ---- counting allocator hook (same scheme as E20/E21) ----------------------
+// ---- counting allocator hook ----------------------------------------------
+// memory_probe.hpp replaces global operator new/delete for this binary:
+// every heap allocation made anywhere in the process is counted.
 
-#include <execinfo.h>
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<bool> g_trace{false};
-
-std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
-
-// Debug-only call-site capture: after the steady-state snap, record the
-// backtrace of every allocation into a fixed table (no allocation).
-constexpr std::size_t kTraceSlots = 64;
-constexpr int kTraceDepth = 10;
-struct TraceSlot {
-    void* frames[kTraceDepth] = {};
-    int depth = 0;
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<bool> used{false};
-};
-TraceSlot g_slots[kTraceSlots];
-
-void record_trace() {
-    void* frames[kTraceDepth];
-    const int depth = backtrace(frames, kTraceDepth);
-    std::uint64_t h = 1469598103934665603ULL;
-    for (int i = 2; i < depth; ++i) {
-        h = (h ^ reinterpret_cast<std::uintptr_t>(frames[i])) * 1099511628211ULL;
-    }
-    for (std::size_t probe = 0; probe < kTraceSlots; ++probe) {
-        TraceSlot& s = g_slots[(h + probe) % kTraceSlots];
-        if (s.used.load(std::memory_order_acquire)) {
-            if (s.depth == depth &&
-                std::memcmp(s.frames, frames, sizeof(void*) * depth) == 0) {
-                s.hits.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            continue;
-        }
-        bool expected = false;
-        if (s.used.compare_exchange_strong(expected, true)) {
-            std::memcpy(s.frames, frames, sizeof(void*) * depth);
-            s.depth = depth;
-            s.hits.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-    }
-}
-
-void dump_traces() {
-    for (TraceSlot& s : g_slots) {
-        if (!s.used.load(std::memory_order_acquire)) continue;
-        std::fprintf(stderr, "---- %llu allocs from:\n",
-                     static_cast<unsigned long long>(s.hits.load()));
-        backtrace_symbols_fd(s.frames, s.depth, 2);
-    }
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (g_trace.load(std::memory_order_relaxed)) {
-        g_trace.store(false, std::memory_order_relaxed);
-        record_trace();
-        g_trace.store(true, std::memory_order_relaxed);
-    }
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) &
-                                         ~(static_cast<std::size_t>(align) - 1))) {
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
+#include "memory_probe.hpp"
 
 // ---- the bench -------------------------------------------------------------
 
@@ -182,6 +98,10 @@ struct ScaleResult {
     double dgrams_per_syscall = 0;   // server sockets only: real crossings
     double steady_allocs_per_dgram = 0;
     std::int64_t p99_latency_ns = 0;
+    // Both sides of the point (server and every client), from just
+    // before the server is built to the end of the point.
+    double rss_kb_per_session = 0;
+    double minflt_per_session = 0;
     Metrics server_transport;
     ServerStats server_stats;
     sim::Metrics server_protocol;   // summed across sessions
@@ -212,6 +132,9 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
     out.count_per_session = count;
 
     SteadyClock clock;
+    malloc_trim(0);  // hand the previous point's freed pages back first
+    const double rss_before_kb = memprobe::rss_kb_now();
+    const std::uint64_t minflt_before = memprobe::minflt_now();
     auto [shard_sockets, port] = make_reuseport_shards(0, shards, offload);
     std::vector<AddressedTransport*> shard_ptrs;
     for (const auto& s : shard_sockets) shard_ptrs.push_back(s.get());
@@ -289,15 +212,11 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
         }
         work += server.poll();
         if (!snapped && acked_total() >= half) {
-            allocs_at_half = allocs_now();
+            allocs_at_half = memprobe::allocs_now();
             dgrams_at_half =
                 server.transport_metrics().datagrams_received + client_dgrams_received();
             snapped = true;
-            if (std::getenv("E22_ALLOC_PROBE")) {
-                void* prime[2];
-                backtrace(prime, 2);  // libgcc lazy-init allocates; do it now
-                g_trace.store(true, std::memory_order_relaxed);
-            }
+            memprobe::arm_trace_if("E22_ALLOC_PROBE");
         }
         if (done == clients.size()) {
             out.completed = true;
@@ -328,16 +247,20 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
         last_sent = sent_now;
     }
     out.wall_sec = now_sec() - start;
-    if (g_trace.exchange(false, std::memory_order_relaxed)) dump_traces();
+    memprobe::disarm_trace();
 
     const std::uint64_t dgrams_end =
         server.transport_metrics().datagrams_received + client_dgrams_received();
     if (snapped && dgrams_end > dgrams_at_half) {
         out.steady_allocs_per_dgram =
-            static_cast<double>(allocs_now() - allocs_at_half) /
+            static_cast<double>(memprobe::allocs_now() - allocs_at_half) /
             static_cast<double>(dgrams_end - dgrams_at_half);
     }
 
+    out.rss_kb_per_session =
+        (memprobe::rss_kb_now() - rss_before_kb) / static_cast<double>(sessions);
+    out.minflt_per_session = static_cast<double>(memprobe::minflt_now() - minflt_before) /
+                             static_cast<double>(sessions);
     out.server_transport = server.transport_metrics();
     out.server_stats = server.stats();
     out.server_protocol = server.protocol_metrics();
@@ -413,7 +336,8 @@ int main(int argc, char** argv) {
     sweep.push_back(max_sessions);
 
     workload::Table table({"sessions", "msgs/session", "goodput", "acks/sendmmsg",
-                           "p99 ack", "KiB/session", "steady allocs/dgram", "done"});
+                           "p99 ack", "KiB/session", "steady allocs/dgram",
+                           "RSS KB/session", "minflt/session", "data_retx", "done"});
     bench::Json points = bench::Json::array();
     bool over_budget = false;
     bool incomplete = false;
@@ -437,6 +361,9 @@ int main(int argc, char** argv) {
                            " us",
                        workload::fmt(r.bytes_per_session() / 1024.0, 1),
                        workload::fmt(r.steady_allocs_per_dgram, 6),
+                       workload::fmt(r.rss_kb_per_session, 2),
+                       workload::fmt(r.minflt_per_session, 2),
+                       std::to_string(r.client_protocol.data_retx),
                        r.completed ? "yes" : "NO"});
         points.push(
             bench::Json::object()
@@ -451,6 +378,9 @@ int main(int argc, char** argv) {
                 .set("bytes_per_session", bench::Json::num(r.bytes_per_session()))
                 .set("steady_allocs_per_datagram",
                      bench::Json::num(r.steady_allocs_per_dgram))
+                .set("rss_kb_per_session", bench::Json::num(r.rss_kb_per_session))
+                .set("minflt_per_session", bench::Json::num(r.minflt_per_session))
+                .set("data_retx", bench::Json::num(r.client_protocol.data_retx))
                 .set("server_transport", bench::counters_json(r.server_transport))
                 .set("server_stats", bench::counters_json(r.server_stats))
                 .set("server_protocol", bench::counters_json(r.server_protocol))

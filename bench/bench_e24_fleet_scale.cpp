@@ -45,13 +45,11 @@
 //                      uring, auto
 //   E24_ALLOC_PROBE=1  (env) dump backtraces of steady-state allocations
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -68,114 +66,11 @@
 #include "net/transport.hpp"
 #include "workload/report.hpp"
 
-// ---- counting allocator hook (same scheme as E20/E21/E22) ------------------
+// ---- counting allocator hook ----------------------------------------------
+// memory_probe.hpp replaces global operator new/delete for this binary:
+// every heap allocation made anywhere in the process is counted.
 
-#include <execinfo.h>
-#include <malloc.h>
-#include <sys/resource.h>
-#include <unistd.h>
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-// Live heap bytes, at the allocator's usable size so a free subtracts
-// exactly what its allocation added.
-std::atomic<std::int64_t> g_live_bytes{0};
-std::atomic<bool> g_trace{false};
-
-std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
-std::int64_t live_bytes_now() { return g_live_bytes.load(std::memory_order_relaxed); }
-
-void note_alloc(void* p) {
-    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
-                           std::memory_order_relaxed);
-}
-
-constexpr std::size_t kTraceSlots = 64;
-constexpr int kTraceDepth = 10;
-struct TraceSlot {
-    void* frames[kTraceDepth] = {};
-    int depth = 0;
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<bool> used{false};
-};
-TraceSlot g_slots[kTraceSlots];
-
-void record_trace() {
-    void* frames[kTraceDepth];
-    const int depth = backtrace(frames, kTraceDepth);
-    std::uint64_t h = 1469598103934665603ULL;
-    for (int i = 2; i < depth; ++i) {
-        h = (h ^ reinterpret_cast<std::uintptr_t>(frames[i])) * 1099511628211ULL;
-    }
-    for (std::size_t probe = 0; probe < kTraceSlots; ++probe) {
-        TraceSlot& s = g_slots[(h + probe) % kTraceSlots];
-        if (s.used.load(std::memory_order_acquire)) {
-            if (s.depth == depth &&
-                std::memcmp(s.frames, frames, sizeof(void*) * depth) == 0) {
-                s.hits.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            continue;
-        }
-        bool expected = false;
-        if (s.used.compare_exchange_strong(expected, true)) {
-            std::memcpy(s.frames, frames, sizeof(void*) * depth);
-            s.depth = depth;
-            s.hits.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-    }
-}
-
-void dump_traces() {
-    for (TraceSlot& s : g_slots) {
-        if (!s.used.load(std::memory_order_acquire)) continue;
-        std::fprintf(stderr, "---- %llu allocs from:\n",
-                     static_cast<unsigned long long>(s.hits.load()));
-        backtrace_symbols_fd(s.frames, s.depth, 2);
-    }
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (g_trace.load(std::memory_order_relaxed)) {
-        g_trace.store(false, std::memory_order_relaxed);
-        record_trace();
-        g_trace.store(true, std::memory_order_relaxed);
-    }
-    if (void* p = std::malloc(size ? size : 1)) {
-        note_alloc(p);
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) &
-                                         ~(static_cast<std::size_t>(align) - 1))) {
-        note_alloc(p);
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept {
-    if (p == nullptr) return;
-    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
-                           std::memory_order_relaxed);
-    std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
+#include "memory_probe.hpp"
 
 // ---- the bench -------------------------------------------------------------
 
@@ -201,23 +96,6 @@ constexpr SimTime kTimeout = 250 * kMillisecond;
 double now_sec() {
     using clock = std::chrono::steady_clock;
     return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
-/// Resident set size now, in KB (/proc/self/statm; 0 where unavailable).
-double rss_kb_now() {
-    long total = 0;
-    long resident = 0;
-    if (FILE* f = std::fopen("/proc/self/statm", "r")) {
-        if (std::fscanf(f, "%ld %ld", &total, &resident) != 2) resident = 0;
-        std::fclose(f);
-    }
-    return static_cast<double>(resident) * static_cast<double>(sysconf(_SC_PAGESIZE)) / 1024.0;
-}
-
-std::uint64_t minflt_now() {
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<std::uint64_t>(ru.ru_minflt);
 }
 
 struct FleetResult {
@@ -259,8 +137,8 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
 
     SteadyClock clock;
     malloc_trim(0);  // hand the previous point's freed pages back first
-    const double rss_before_kb = rss_kb_now();
-    const std::uint64_t minflt_before = minflt_now();
+    const double rss_before_kb = memprobe::rss_kb_now();
+    const std::uint64_t minflt_before = memprobe::minflt_now();
     std::int64_t server_heap_gained = 0;
 
     ServerConfig scfg;
@@ -319,9 +197,9 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
     const double deadline = start + 240.0;
     for (;;) {
         std::size_t work = fleet.poll();
-        const std::int64_t heap_before = live_bytes_now();
+        const std::int64_t heap_before = memprobe::live_bytes_now();
         work += server.poll();
-        server_heap_gained += live_bytes_now() - heap_before;
+        server_heap_gained += memprobe::live_bytes_now() - heap_before;
         out.held_peak = std::max(out.held_peak, server.session_count());
         // Steady state begins once the tables, slabs, and wheels are at
         // high water: every session admitted *and answered by the
@@ -330,14 +208,10 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
         // state), half the fleet retired.
         if (!snapped && fleet.stats().sessions_started == sessions &&
             fleet.stats().sessions_touched == sessions && fleet.finished_count() >= half) {
-            allocs_at_snap = allocs_now();
+            allocs_at_snap = memprobe::allocs_now();
             dgrams_at_snap = dgrams_received();
             snapped = true;
-            if (std::getenv("E24_ALLOC_PROBE")) {
-                void* prime[2];
-                backtrace(prime, 2);  // libgcc lazy-init allocates; do it now
-                g_trace.store(true, std::memory_order_relaxed);
-            }
+            memprobe::arm_trace_if("E24_ALLOC_PROBE");
         }
         if (fleet.done()) {
             out.completed = true;
@@ -360,11 +234,11 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
         }
     }
     out.wall_sec = now_sec() - start;
-    if (g_trace.exchange(false, std::memory_order_relaxed)) dump_traces();
+    memprobe::disarm_trace();
 
     const std::uint64_t dgrams_end = dgrams_received();
     if (snapped && dgrams_end > dgrams_at_snap) {
-        out.steady_allocs_per_dgram = static_cast<double>(allocs_now() - allocs_at_snap) /
+        out.steady_allocs_per_dgram = static_cast<double>(memprobe::allocs_now() - allocs_at_snap) /
                                       static_cast<double>(dgrams_end - dgrams_at_snap);
     }
 
@@ -375,9 +249,9 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
     }
     out.session_footprint = server.session_footprint();
     out.rss_kb_per_session =
-        (rss_kb_now() - rss_before_kb) / static_cast<double>(sessions);
+        (memprobe::rss_kb_now() - rss_before_kb) / static_cast<double>(sessions);
     out.minflt_per_session =
-        static_cast<double>(minflt_now() - minflt_before) / static_cast<double>(sessions);
+        static_cast<double>(memprobe::minflt_now() - minflt_before) / static_cast<double>(sessions);
     out.server_transport = server.transport_metrics();
     out.server_stats = server.stats();
     out.fleet_stats = fleet.stats();

@@ -217,6 +217,16 @@ public:
         return true_seq;
     }
 
+    /// Largest ns - na the sender can reach: a hole-reusing sender keeps
+    /// acked holes outstanding past w, up to its bookkeeping window.
+    Seq send_span() const {
+        if constexpr (requires(const SenderT& s) { s.buffer_cap(); }) {
+            return sender_.buffer_cap();
+        } else {
+            return w_;
+        }
+    }
+
     // ---- receiver half ---------------------------------------------------
 
     runtime::RxOutcome on_data(const proto::Data& msg, SimTime now) {
@@ -238,6 +248,9 @@ public:
                 return out;
             }
         }
+        // rcvd() reads true below vr, so a seq in [nr, vr) -- delivered,
+        // not yet acknowledged, no dup-ack -- is not new either.
+        const bool fresh = !receiver_.rcvd(msg.seq);
         const auto dup = receiver_.on_data(msg);
         if (dup) {
             out.duplicate = true;
@@ -254,6 +267,7 @@ public:
             ooo_since_advance_ = 0;
         } else {
             ++ooo_since_advance_;  // buffered beyond a gap
+            out.buffered = fresh;
             out.nak = maybe_make_nak(now);
         }
         return out;

@@ -230,6 +230,7 @@ public:
             receiver_.deliver();
             ++out.delivered;
         }
+        out.buffered = was_new && out.delivered == 0;
         return out;
     }
 

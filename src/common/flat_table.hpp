@@ -9,10 +9,10 @@
 /// sessions the node spray dominated the demux path.  FlatTable is the
 /// replacement: keys and values live inline in one contiguous slot
 /// slab, the index is a power-of-two linear-probe array of slot
-/// references, and erase uses backward-shift deletion (the same
-/// reachability argument as net::PayloadStash) so there are no
-/// tombstones to accumulate and probe chains stay short at a fixed
-/// <= 50% load factor.
+/// references, and erase uses backward-shift deletion (an entry moves
+/// back only if the hole lies on its probe chain from its home slot) so
+/// there are no tombstones to accumulate and probe chains stay short at
+/// a fixed <= 50% load factor.
 ///
 /// Properties the server and its tests rely on:
 ///  - zero steady-state allocations: after reserve(n) (or once high

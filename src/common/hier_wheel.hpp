@@ -66,6 +66,10 @@ public:
     /// scaling gate compares this across idle and busy wheels.
     std::uint64_t work_ops() const { return work_; }
 
+    /// Heap bytes one concurrent timer occupies once reserved: its slab
+    /// node and its fire-scratch entry (for footprint estimates).
+    static constexpr std::size_t bytes_per_timer() { return sizeof(Node) + sizeof(Staged); }
+
     /// Pre-size the node slab (and fire scratch) for `n` concurrent
     /// timers so steady state never allocates.
     void reserve(std::size_t n) {

@@ -15,16 +15,18 @@
 ///     interval;
 ///   - ingress decode and dispatch into the driver, counting decode
 ///     errors and frames for a direction the endpoint does not run;
-///   - the receive-side PayloadStash, keyed by wire value, including the
-///     erase of a re-acked duplicate's bytes;
-///   - the delivery hand-off: stashed bytes to a bound sink, or pattern
-///     verification when none is bound.
+///   - the receive-side PayloadStash, keyed by wire value, which parks a
+///     payload only when the core buffered its message out of order;
+///   - the delivery hand-off -- the arriving frame's own bytes, or the
+///     stashed bytes of a buffered message -- to a bound sink, or
+///     pattern verification when none is bound.
 ///
 /// What differs between environments stays with them: where an encoded
 /// frame goes (a SendBatch slab and a Transport, or a fresh ByteChannel
 /// frame) is the `emit` callable each egress call takes, and the event
 /// loop (poll(), the simulator) is the environment's own.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -83,15 +85,10 @@ public:
           payload_size_(payload_size),
           stream_(stream),
           conn_(conn),
-          // Live stash entries are protocol-bounded by the window (+1 for
-          // the in-flight arrival, so a full window never triggers a
-          // table grow).
-          stash_(static_cast<std::size_t>(cfg.w) + 1) {
+          stash_(static_cast<std::size_t>(cfg.w)) {
         // Reserve the stash's buffers to worst case so the first loss
         // burst (which may come long after warmup) allocates nothing.
-        if (rx_count_ > 0) {
-            stash_.reserve_buffers(static_cast<std::size_t>(cfg.w) + 1, payload_size);
-        }
+        if (rx_count_ > 0) stash_.reserve_buffers(payload_size);
     }
 
     FramePath(const FramePath&) = delete;
@@ -203,25 +200,26 @@ public:
         }
     }
 
-    /// Consumes the stashed payload of one in-order delivery.  The stash
-    /// is keyed by *wire* value (all the frame carries); wire-mapped
-    /// cores translate, unbounded ones are the identity.  The protocols
+    /// Hands over the payload of one in-order delivery.  A delivery
+    /// step starts at the arrival being processed (the message at vr),
+    /// whose bytes are still in its frame; the run it unlocks was
+    /// buffered, so its bytes are in the stash.  Both are keyed by
+    /// *wire* value (all the frame carries); wire-mapped cores
+    /// translate, unbounded ones are the identity.  The protocols
     /// guarantee at most one live message per wire value at the receiver
-    /// (window/domain relation, residue quarantine), so the latest write
-    /// for a key is always the delivered message's own bytes.
+    /// (window/domain relation, residue quarantine), so the key names
+    /// the delivered message's own bytes.
     void deliver(const Core& rx_core, Seq true_seq) {
         Seq key = true_seq;
         if constexpr (runtime::kCoreWireMapped<Core>) key = rx_core.wire_seq(true_seq);
+        if (arrival_ != nullptr && arrival_->seq == key) {
+            hand_over(true_seq, arrival_->payload);
+            arrival_ = nullptr;
+            return;
+        }
         const std::vector<std::uint8_t>* bytes = stash_.find(key);
         BACP_ASSERT_MSG(bytes != nullptr, "delivered message has no stashed payload");
-        bytes_delivered_ += bytes->size();
-        if (deliver_sink_) {
-            deliver_sink_(true_seq, *bytes);
-        } else {
-            expected_scratch_.resize(bytes->size());
-            pattern_fill(true_seq, expected_scratch_);
-            if (*bytes != expected_scratch_) ++payload_mismatches_;
-        }
+        hand_over(true_seq, *bytes);
         stash_.erase(key);
     }
 
@@ -241,26 +239,32 @@ private:
     }
 
     /// DATA (optionally carrying a piggybacked ack) into the receiving
-    /// half.  The payload is stashed before the driver steps so a
-    /// delivery it unlocks can always find its bytes; latest write wins,
-    /// so a wire value being reused (bounded cores) always maps to the
-    /// newest message.
+    /// half.  While the driver steps, the frame is the current arrival,
+    /// so a delivery of its own message reads the frame's bytes; the
+    /// payload is parked afterwards only if the core buffered the
+    /// message beyond a gap.  Duplicates, rejected frames and arrivals a
+    /// core discards leave nothing behind.
     template <typename Duplex>
     void ingest_data(Duplex& duplex, const wire::FrameView& frame, const proto::Ack* ack) {
-        stash_.put(frame.seq, frame.payload);
-        const std::uint64_t dup_acks_before = duplex.rx_metrics().dup_acks;
-        if (ack != nullptr) {
-            duplex.handle_data_ack(proto::Data{frame.seq}, *ack);
+        arrival_ = &frame;
+        const bool buffered = ack != nullptr
+                                  ? duplex.handle_data_ack(proto::Data{frame.seq}, *ack)
+                                  : duplex.handle_data(proto::Data{frame.seq});
+        arrival_ = nullptr;
+        if (buffered) stash_.put(frame.seq, frame.payload);
+    }
+
+    void hand_over(Seq true_seq, std::span<const std::uint8_t> bytes) {
+        bytes_delivered_ += bytes.size();
+        if (deliver_sink_) {
+            deliver_sink_(true_seq, bytes);
         } else {
-            duplex.handle_data(proto::Data{frame.seq});
+            expected_scratch_.resize(bytes.size());
+            pattern_fill(true_seq, expected_scratch_);
+            if (!std::equal(bytes.begin(), bytes.end(), expected_scratch_.begin())) {
+                ++payload_mismatches_;
+            }
         }
-        // A re-acked arrival (the core answered with a singleton re-ack
-        // instead of buffering) will never be consumed -- drop its bytes
-        // now, or every retransmission of a delivered message grows the
-        // stash by one dead entry forever.  In-window duplicates of
-        // still-buffered messages take the other branch (no dup-ack) and
-        // keep their bytes.
-        if (duplex.rx_metrics().dup_acks != dup_acks_before) stash_.erase(frame.seq);
     }
 
     /// The outbound bytes land in a reused scratch and are encoded
@@ -283,7 +287,8 @@ private:
 
     std::uint64_t bytes_delivered_ = 0;
     std::uint64_t payload_mismatches_ = 0;
-    PayloadStash stash_;                          // wire seq -> payload
+    PayloadStash stash_;                          // wire seq -> buffered payload
+    const wire::FrameView* arrival_ = nullptr;    // DATA frame being ingested
     std::vector<std::uint8_t> payload_scratch_;   // outbound bytes, reused
     std::vector<std::uint8_t> expected_scratch_;  // pattern verify, reused
     PayloadSource payload_source_;  // empty = pattern payloads

@@ -47,6 +47,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -287,32 +288,32 @@ public:
     /// Resident bytes per session, as arena_budget charges them: the
     /// session's table slot, the endpoint (config, frame path and both
     /// driver halves -- counters only) and its egress, the out-of-order
-    /// payload stash (slot table plus w+1 parked buffers), the one-frame
-    /// staging buffer (a session flushes every frame into the shard
-    /// batch), the payload scratch, the two driver halves' w-sized resend
-    /// scratch, and -- for a session that also sources session.count
-    /// messages -- its sending half's per-seq tables.  Each heap block is
-    /// charged the allocator's granule.  Latency histograms are per
-    /// shard, not per session, and a receiving half reserves nothing by
-    /// rx_count.  tests/test_footprint.cpp holds this to the heap
-    /// admitted sessions measurably take, within 10%.
+    /// payload stash (w tagged slots, each with its reserved buffer), the
+    /// one-frame staging buffer (a session flushes every frame into the
+    /// shard batch), the payload scratch, the two driver halves' w-sized
+    /// resend scratch, and -- for a session that also sources messages --
+    /// its sending half's ring of per-message records (w rounded up to a
+    /// power of two) and the w per-message timers it keeps armed on the
+    /// shard wheel.  Nothing scales with session.count or rx_count.
+    /// Each heap block is charged the allocator's granule.  Latency
+    /// histograms are per shard, not per session.  tests/test_footprint.cpp
+    /// holds this to the heap admitted sessions measurably take, within
+    /// 10%.
     std::size_t session_footprint() const {
         constexpr std::size_t kBlock = 16;  // malloc header + rounding, per block
         const std::size_t w = static_cast<std::size_t>(cfg_.session.w);
         const std::size_t payload = cfg_.session.payload_size;
         const std::size_t objects =
             sizeof(Session) + sizeof(NetEndpoint<Core>) + sizeof(SessionEgress) + 2 * kBlock;
-        const std::size_t stash = PayloadStash::table_bytes(w + 1) + kBlock +
-                                  (w + 1) * (payload + kBlock + sizeof(std::vector<std::uint8_t>));
+        const std::size_t stash = PayloadStash::table_bytes(w) + kBlock + w * (payload + kBlock);
         const std::size_t staging = (payload + 128 + kBlock) + (payload + kBlock);
         const std::size_t scratch = 2 * (w + 1) * 2 * sizeof(Seq);
-        const Seq count = cfg_.session.count;
-        const std::size_t send_tables =
-            count == 0 || count == runtime::kUnboundedCount
+        const std::size_t sending =
+            cfg_.session.count == 0
                 ? 0
-                : static_cast<std::size_t>(count) * (2 * sizeof(SimTime) + sizeof(TimerId)) +
-                      3 * kBlock + payload + kBlock;
-        return objects + stash + staging + scratch + send_tables;
+                : std::bit_ceil(w) * sizeof(runtime::SendRecord) + kBlock + payload + kBlock +
+                      w * TimerWheel::bytes_per_timer();
+        return objects + stash + staging + scratch + sending;
     }
 
     /// One event-loop iteration of shard \p idx: fire its wheel, drain

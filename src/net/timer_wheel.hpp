@@ -81,6 +81,11 @@ public:
     /// reaches its high-water mark before traffic does.
     void reserve(std::size_t additional) { wheel_.reserve(wheel_.size() + additional); }
 
+    /// Heap bytes one concurrent timer holds in the wheel.
+    static constexpr std::size_t bytes_per_timer() {
+        return HierTimerWheel<Handler>::bytes_per_timer();
+    }
+
 private:
     Clock* clock_;
     HierTimerWheel<Handler> wheel_;

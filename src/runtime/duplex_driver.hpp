@@ -126,14 +126,16 @@ public:
 
     void handle_ack(const proto::Ack& ack) { driver_tx_.handle_ack(ack); }
     void handle_nak(const proto::Nak& nak) { driver_tx_.handle_nak(nak); }
-    void handle_data(const proto::Data& msg) { driver_rx_.handle_data(msg); }
+    /// Both data paths return whether the receiving core buffered the
+    /// arrival (EndpointDriver::handle_data).
+    bool handle_data(const proto::Data& msg) { return driver_rx_.handle_data(msg); }
 
     /// A piggybacked frame: the ack half feeds our sending driver first
     /// (freeing window before the data half may trigger an ack of our
     /// own), then the data half feeds the receiving driver.
-    void handle_data_ack(const proto::Data& msg, const proto::Ack& ack) {
+    bool handle_data_ack(const proto::Data& msg, const proto::Ack& ack) {
         driver_tx_.handle_ack(ack);
-        driver_rx_.handle_data(msg);
+        return driver_rx_.handle_data(msg);
     }
 
     /// DES idle hook for the oracle timeout modes; fires whichever half

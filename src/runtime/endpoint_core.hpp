@@ -9,68 +9,101 @@
 /// which kind of time or channel is underneath them.
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include <string>
-
 #include "common/rng.hpp"
+#include "common/timer_service.hpp"
 #include "common/types.hpp"
 #include "protocol/message.hpp"
 #include "runtime/timeout_mode.hpp"
 
 namespace bacp::runtime {
 
-/// Dense true-seq -> SimTime table.  True sequence numbers are assigned
-/// contiguously from 0, so a flat vector with a "never" sentinel beats a
-/// hash map on every axis that matters to the hot path: O(1) with no
-/// hashing, no rehash-driven allocation after reserve(), and entries are
-/// 8 bytes apiece.  Values are write-once-per-note and never erased
-/// (clearing is not needed: each runtime consults a seq only while it is
-/// outstanding).
-class SeqTimeTable {
-public:
-    static constexpr SimTime kNever = -1;
+/// Per-message send state: one record per message, tagged with its true
+/// sequence number.  Held in a SendRing, never in a table keyed by seq.
+struct SendRecord {
+    static constexpr Seq kNoSeq = std::numeric_limits<Seq>::max();
 
-    void set(Seq true_seq, SimTime t) {
-        if (true_seq >= times_.size()) {
-            // Grow in chunks: seqs arrive one at a time, and a resize per
-            // set() would pay a fill call on every message.  Clamp the
-            // chunk to an existing reserve() so a pre-sized table never
-            // reallocates mid-run.
-            std::size_t grow = times_.size() + times_.size() / 2 + 64;
-            if (grow > times_.capacity() && times_.capacity() > true_seq) {
-                grow = times_.capacity();
-            }
-            times_.resize(std::max<std::size_t>(true_seq + 1, grow), kNever);
-        }
-        times_[true_seq] = t;
-    }
-
-    /// kNever when the seq was never recorded.
-    SimTime get(Seq true_seq) const {
-        return true_seq < times_.size() ? times_[true_seq] : kNever;
-    }
-
-    void reserve(std::size_t n) { times_.reserve(n); }
-
-private:
-    std::vector<SimTime> times_;
+    Seq seq = kNoSeq;              // tag: the true seq this record describes
+    SimTime first_tx = 0;          // ack-latency origin
+    SimTime last_tx = 0;           // newest copy (maturity, horizon, NAK rule)
+    SimTime origin = 0;            // delivery-latency origin: release or first tx
+    TimerId timer = kInvalidTimer; // live per-message expiry
 };
 
-/// Read-only view of a runtime's transmission log, handed to cores that
+/// The sender's per-message records, indexed by true seq mod a
+/// power-of-two capacity.  Sized to cover the span the core can have
+/// outstanding (ns - na), every message the core may still resend keeps
+/// its record: the ring holds the last `capacity()` seqs sent, and a
+/// record is only reused for the seq exactly one capacity later.  A tag
+/// mismatch reads as "never sent" -- the answer for a seq the ring has
+/// moved past, and for a receiving half that never sends.  The owner
+/// decides when a record is still live and grows the ring instead of
+/// overwriting it (EndpointDriver::open_record).
+class SendRing {
+public:
+    std::size_t capacity() const { return slots_.size(); }
+
+    /// The record of \p true_seq, or nullptr when its slot holds another
+    /// seq (or none).
+    const SendRecord* find(Seq true_seq) const {
+        if (slots_.empty()) return nullptr;
+        const SendRecord& r = slots_[index(true_seq)];
+        return r.seq == true_seq ? &r : nullptr;
+    }
+    SendRecord* find(Seq true_seq) {
+        return const_cast<SendRecord*>(std::as_const(*this).find(true_seq));
+    }
+
+    /// The slot \p true_seq maps to, whatever it holds.  Precondition:
+    /// capacity() > 0.
+    SendRecord& slot(Seq true_seq) { return slots_[index(true_seq)]; }
+
+    /// Sizes an empty ring to cover \p span seqs, or doubles a sized one,
+    /// re-placing every record by its tag.
+    void grow(std::size_t span) {
+        std::vector<SendRecord> old;
+        old.swap(slots_);
+        slots_.resize(old.empty() ? std::bit_ceil(std::max<std::size_t>(span, 1))
+                                  : 2 * old.size());
+        for (const SendRecord& r : old) {
+            if (r.seq != SendRecord::kNoSeq) slot(r.seq) = r;
+        }
+    }
+
+    template <typename F>
+    void for_each(F&& f) {
+        for (SendRecord& r : slots_) {
+            if (r.seq != SendRecord::kNoSeq) f(r);
+        }
+    }
+
+private:
+    std::size_t index(Seq true_seq) const {
+        return static_cast<std::size_t>(true_seq) & (slots_.size() - 1);
+    }
+
+    std::vector<SendRecord> slots_;
+};
+
+/// Read-only view of a runtime's send records, handed to cores that
 /// need transmission times (send horizon, NAK one-copy rule).
 struct TxView {
     SimTime now = 0;
     SimTime data_lifetime = 0;  // max time a copy can survive in C_SR
-    const SeqTimeTable* last_tx = nullptr;
+    const SendRing* ring = nullptr;
 
     std::optional<SimTime> last_tx_time(Seq true_seq) const {
-        const SimTime t = last_tx->get(true_seq);
-        if (t == SeqTimeTable::kNever) return std::nullopt;
-        return t;
+        const SendRecord* r = ring->find(true_seq);
+        if (r == nullptr) return std::nullopt;
+        return r->last_tx;
     }
 };
 
@@ -86,6 +119,12 @@ struct RxOutcome {
     std::optional<proto::Ack> immediate_ack;
     /// Fast-retransmit request the receiver wants on the ack channel.
     std::optional<proto::Nak> nak;
+    /// The arrival was new and is now held beyond a gap: a later
+    /// delivery needs its payload.  The one arrival a wire environment
+    /// must keep; every other payload is consumed now or dead (a
+    /// duplicate, a rejected or discarded frame, a seq already received
+    /// but not yet acknowledged).
+    bool buffered = false;
     /// Arrival was syntactically valid but semantically impossible (e.g.
     /// a sequence number beyond nr + w that no conforming sender could
     /// have emitted).  A CRC-valid-but-corrupted frame lands here; the
@@ -106,6 +145,8 @@ struct RxOutcome {
 ///   timeout_eligible(seq, bool)  SIV resend gate (realistic) and the
 ///                                receiver-oracle conjunct (oracle mode)
 ///   on_nak(nak, tx)              sender-side NAK fast retransmit
+///   send_span()                  largest ns - na the sender can reach,
+///                                when it exceeds w (hole reuse)
 ///   sender_core()/receiver_core() expose the underlying pure cores
 ///
 /// resend_candidates(out) and simple_timeout_set(out) APPEND into a
@@ -149,6 +190,10 @@ inline constexpr bool kCoreHandlesNak =
         { c.on_nak(n, tx) } -> std::same_as<std::optional<Seq>>;
     };
 
+template <typename C>
+inline constexpr bool kCoreSendSpan =
+    requires(const C& c) { { c.send_span() } -> std::convertible_to<Seq>; };
+
 /// Chaos hook (src/chaos): the core can apply one seeded perturbation
 /// drawn from its reachable-but-wrong state space -- forgotten acks, a
 /// regressed cumulative pointer, cleared cache bits.  Returns a short
@@ -160,29 +205,6 @@ inline constexpr bool kCoreHandlesNak =
 template <typename C>
 inline constexpr bool kCoreCorruptible = requires(C& c, Rng& rng) {
     { c.corrupt_state(rng) } -> std::convertible_to<std::string>;
-};
-
-/// Last-transmission log: the bookkeeping every runtime keeps so cores
-/// can evaluate time-based rules.  matured() is the realistic
-/// per-message expiry test ("the last copy was sent a full timeout
-/// ago"); view() packages the log for the core-facing TxView.
-class TxLog {
-public:
-    void note(Seq true_seq, SimTime now) { last_tx_.set(true_seq, now); }
-
-    bool matured(Seq true_seq, SimTime now, SimTime timeout) const {
-        const SimTime t = last_tx_.get(true_seq);
-        return t != SeqTimeTable::kNever && now - t >= timeout;
-    }
-
-    TxView view(SimTime now, SimTime data_lifetime) const {
-        return {now, data_lifetime, &last_tx_};
-    }
-
-    void reserve(std::size_t n) { last_tx_.reserve(n); }
-
-private:
-    SeqTimeTable last_tx_;
 };
 
 }  // namespace bacp::runtime

@@ -34,6 +34,7 @@
 /// paper's assertion 8 ("at most one copy of each data message or its
 /// acknowledgment is in transit").
 
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -107,8 +108,9 @@ struct EngineConfig {
 
 /// EngineConfig::count (or DuplexSpec::rx_count) of an open-ended
 /// transfer -- the link layer's send queue, whose total the application
-/// never announces.  Pair it with app_arrivals.  The driver pre-sizes its
-/// per-seq tables for finite counts only; unbounded ones grow in chunks.
+/// never announces.  Pair it with app_arrivals.  Nothing the driver
+/// keeps is sized by the count: per-message state lives in a
+/// window-sized SendRing.
 inline constexpr Seq kUnboundedCount = std::numeric_limits<Seq>::max();
 
 /// The conservative retransmission timeout: one data lifetime out, one
@@ -216,41 +218,6 @@ concept DriverEnvironment =
     };
 // clang-format on
 
-/// Dense true-seq -> TimerId table for the per-message discipline.  Same
-/// shape and rationale as SeqTimeTable: true seqs are contiguous from 0,
-/// so a flat vector with chunked growth (clamped to an existing
-/// reserve()) keeps the steady state allocation-free where a hash map
-/// would rehash.
-class SeqTimerTable {
-public:
-    void set(Seq true_seq, TimerId id) {
-        if (true_seq >= ids_.size()) {
-            std::size_t grow = ids_.size() + ids_.size() / 2 + 64;
-            if (grow > ids_.capacity() && ids_.capacity() > true_seq) {
-                grow = ids_.capacity();
-            }
-            ids_.resize(std::max<std::size_t>(true_seq + 1, grow), kInvalidTimer);
-        }
-        ids_[true_seq] = id;
-    }
-
-    TimerId get(Seq true_seq) const {
-        return true_seq < ids_.size() ? ids_[true_seq] : kInvalidTimer;
-    }
-
-    void clear(Seq true_seq) {
-        if (true_seq < ids_.size()) ids_[true_seq] = kInvalidTimer;
-    }
-
-    void reserve(std::size_t n) { ids_.reserve(n); }
-
-    /// Every live id, for cancel-all on destruction.
-    const std::vector<TimerId>& raw() const { return ids_; }
-
-private:
-    std::vector<TimerId> ids_;
-};
-
 template <EndpointCore Core, typename Env>
 class EndpointDriver {
 public:
@@ -277,7 +244,7 @@ public:
         timeout_ = effective_timeout(cfg_);
         data_lifetime_ = cfg_.data_link.max_lifetime();
         // Pre-size the candidate scratch so the steady-state loop never
-        // touches the allocator (the per-seq tables: see start()).
+        // touches the allocator (the send records: see start()).
         seq_scratch_.reserve(cfg_.w + 1);
     }
 
@@ -288,25 +255,22 @@ public:
         // Per-message expiries are raw TimerService timers (the OneShot
         // members cancel themselves); reclaim them so no closure on the
         // service can fire into a dead driver.
-        for (const TimerId id : pm_timers_.raw()) {
-            if (id != kInvalidTimer) env_.timer_service().cancel(id);
-        }
+        ring_.for_each([this](const SendRecord& r) {
+            if (r.timer != kInvalidTimer) env_.timer_service().cancel(r.timer);
+        });
     }
 
     /// Opens the faucet: stamps the start time, releases the workload
     /// (all upfront, or via the open-loop arrival process), and pumps the
     /// first window.  Call once, from the sending endpoint.
     void start() {
-        // Pre-size the sender's per-seq tables so the steady-state loop
-        // never touches the allocator.  Here, not in the constructor:
-        // only a sending driver starts, so a receiving half -- whose
-        // count may be huge (an open-ended server session) -- reserves
-        // nothing it would never fill.
-        const std::size_t presize = cfg_.count == kUnboundedCount ? 0 : cfg_.count;
-        txlog_.reserve(presize);
-        first_send_.reserve(presize);
-        if (cfg_.arrival_interval > 0) arrival_time_.reserve(presize);
-        if (mode_ == TimeoutMode::PerMessageTimer) pm_timers_.reserve(presize);
+        // Size the send records by the window, whatever the count.  Here,
+        // not in the constructor: only a sending driver starts, so a
+        // receiving half keeps none.
+        if (ring_.capacity() == 0) ring_.grow(send_span());
+        if (cfg_.arrival_interval > 0) {
+            release_times_.resize(std::bit_ceil(static_cast<std::size_t>(cfg_.w)));
+        }
         metrics_.start_time = env_.now();
         if (cfg_.app_arrivals) {
             // Nothing to release yet: the application feeds messages in
@@ -340,20 +304,15 @@ public:
         // per-message timers consult), and the cursor makes the sweep
         // O(newly acked) amortized.
         while (ack_cursor_ < sent_new_ && !core_.can_resend(ack_cursor_)) {
-            const SimTime sent = first_send_.get(ack_cursor_);
-            if (sent != SeqTimeTable::kNever) {
-                env_.latency().ack.add(env_.now() - sent);
-            }
+            SendRecord& rec = record(ack_cursor_);
+            env_.latency().ack.add(env_.now() - rec.first_tx);
             // Reclaim the retired message's expiry timer now instead of
             // letting it fire as a no-op: lazy cancellation would keep
             // one live timer per message sent within a timeout window,
             // and the heap's high-water mark with it, unbounded by w.
-            if (mode_ == TimeoutMode::PerMessageTimer) {
-                const TimerId id = pm_timers_.get(ack_cursor_);
-                if (id != kInvalidTimer) {
-                    env_.timer_service().cancel(id);
-                    pm_timers_.clear(ack_cursor_);
-                }
+            if (rec.timer != kInvalidTimer) {
+                env_.timer_service().cancel(rec.timer);
+                rec.timer = kInvalidTimer;
             }
             ++ack_cursor_;
         }
@@ -388,7 +347,9 @@ public:
         // earlier impairment; cores without NAK support ignore it.
     }
 
-    void handle_data(const proto::Data& msg) {
+    /// Returns RxOutcome::buffered: whether the core now holds the arrival
+    /// beyond a gap, so a wire environment must keep its payload.
+    bool handle_data(const proto::Data& msg) {
         ++metrics_.data_received;
         const RxOutcome out = core_.on_data(msg, env_.now());
         if (out.rejected) {
@@ -398,7 +359,7 @@ public:
             // and otherwise treated as loss -- the timers recover.
             ++metrics_.decode_errors;
             env_.after_step();
-            return;
+            return false;
         }
         if (out.dup_ack) {
             ++metrics_.duplicates;
@@ -406,7 +367,7 @@ public:
             log(Decision::AckDup, 'R', out.dup_ack->lo, out.dup_ack->hi);
             env_.send_ack(*out.dup_ack, AckKind::Dup);
             env_.after_step();
-            return;
+            return false;
         }
         if (out.duplicate) ++metrics_.duplicates;
         for (Seq k = 0; k < out.delivered; ++k) note_delivery();
@@ -428,6 +389,7 @@ public:
             ack_flush_timer_.restart(cfg_.ack_policy.flush_delay);
         }
         env_.after_step();
+        return out.buffered;
     }
 
     // ---- oracle hook (environments with provable quiescence) ---------------
@@ -495,15 +457,13 @@ public:
             seq_scratch_.clear();
             core_.resend_candidates(seq_scratch_);
             for (const Seq true_seq : seq_scratch_) {
-                const TimerId prev = pm_timers_.get(true_seq);
-                if (prev != kInvalidTimer) env_.timer_service().cancel(prev);
+                SendRecord& rec = record(true_seq);
+                if (rec.timer != kInvalidTimer) env_.timer_service().cancel(rec.timer);
                 const SimTime delay = chaos_delay(rng);
-                const TimerId id =
-                    env_.timer_service().schedule_after(delay, [this, true_seq] {
-                        pm_timers_.clear(true_seq);
-                        chaos_premature_fire(true_seq);
-                    });
-                pm_timers_.set(true_seq, id);
+                rec.timer = env_.timer_service().schedule_after(delay, [this, true_seq] {
+                    forget_timer(true_seq);
+                    chaos_premature_fire(true_seq);
+                });
                 ++scrambled;
             }
         }
@@ -546,7 +506,21 @@ public:
     void set_decision_log(DecisionLog* log) { log_ = log; }
 
 private:
-    TxView txview() const { return txlog_.view(env_.now(), data_lifetime_); }
+    TxView txview() const { return {env_.now(), data_lifetime_, &ring_}; }
+
+    /// The record of a message the core may still resend or whose ack
+    /// has not been swept: always present (open_record never overwrites
+    /// one).
+    SendRecord& record(Seq true_seq) {
+        SendRecord* rec = ring_.find(true_seq);
+        BACP_ASSERT_MSG(rec != nullptr, "live message without a send record");
+        return *rec;
+    }
+
+    /// A fired per-message timer is no longer live.
+    void forget_timer(Seq true_seq) {
+        if (SendRecord* rec = ring_.find(true_seq)) rec->timer = kInvalidTimer;
+    }
 
     void log(Decision::Kind kind, char endpoint, Seq lo, Seq hi) {
         if (log_ != nullptr) log_->note(env_.now(), endpoint, kind, lo, hi);
@@ -565,8 +539,18 @@ private:
         arrival_timer_.restart(gap);
     }
 
+    /// Release k's time waits at k mod size until message k is first
+    /// sent, so the live entries are [sent_new_, app_released_); the ring
+    /// doubles only when that backlog fills it.
     void on_arrival_tick() {
-        arrival_time_.set(app_released_, env_.now());
+        if (app_released_ - sent_new_ == release_times_.size()) {
+            std::vector<SimTime> grown(2 * release_times_.size());
+            for (Seq k = sent_new_; k < app_released_; ++k) {
+                grown[k & (grown.size() - 1)] = release_times_[k & (release_times_.size() - 1)];
+            }
+            release_times_.swap(grown);
+        }
+        release_times_[app_released_ & (release_times_.size() - 1)] = env_.now();
         ++app_released_;
         pump_send();
         schedule_arrival();
@@ -588,9 +572,43 @@ private:
             }
             const proto::Data msg = core_.send_new(env_.now());
             const Seq true_seq = sent_new_++;
-            first_send_.set(true_seq, env_.now());
+            open_record(true_seq);
             transmit(msg, true_seq, /*retx=*/false);
         }
+    }
+
+    /// The span the core can have outstanding (ns - na): w, or a
+    /// hole-reusing sender's wider bookkeeping window.
+    std::size_t send_span() const {
+        if constexpr (kCoreSendSpan<Core>) {
+            return core_.send_span();
+        } else {
+            return cfg_.w;
+        }
+    }
+
+    /// A record still needed: its ack not yet swept, or resendable.
+    bool live(const SendRecord& r) const {
+        return r.seq != SendRecord::kNoSeq && (r.seq >= ack_cursor_ || core_.can_resend(r.seq));
+    }
+
+    /// Takes the ring slot of a newly sent message.  The slot's previous
+    /// record (one capacity back) is overwritten only once it is dead; a
+    /// live one means the core outran the span the ring was sized for,
+    /// and the ring grows instead (as does an empty ring: messages
+    /// released before start()).  A dead record can still hold the
+    /// expiry of a message a chaos fault revived and re-acked; that
+    /// timer's fire would be a no-op (can_resend is false), so it is
+    /// cancelled here.
+    void open_record(Seq true_seq) {
+        while (ring_.capacity() == 0 || live(ring_.slot(true_seq))) ring_.grow(send_span());
+        SendRecord& slot = ring_.slot(true_seq);
+        if (slot.timer != kInvalidTimer) env_.timer_service().cancel(slot.timer);
+        const SimTime now = env_.now();
+        const SimTime origin = cfg_.arrival_interval > 0
+                                   ? release_times_[true_seq & (release_times_.size() - 1)]
+                                   : now;
+        slot = SendRecord{true_seq, now, now, origin, kInvalidTimer};
     }
 
     void transmit(const proto::Data& msg, Seq true_seq, bool retx) {
@@ -600,7 +618,7 @@ private:
             ++metrics_.data_new;
         }
         log(retx ? Decision::Resend : Decision::Send, 'S', true_seq, true_seq);
-        txlog_.note(true_seq, env_.now());
+        record(true_seq).last_tx = env_.now();
         env_.send_data(msg, true_seq, retx);
         switch (mode_) {
             case TimeoutMode::SimpleTimer:
@@ -620,15 +638,15 @@ private:
     /// Per-message expiry timer.  The newest copy owns the seq's timer:
     /// rescheduling cancels the previous one (whose fire was a provable
     /// no-op anyway -- matured() fails while a newer copy is fresh), and
-    /// the dense table lets the destructor reclaim every live closure.
+    /// the id lives in the send record, so the destructor reclaims every
+    /// live closure.
     void schedule_per_message(Seq true_seq) {
-        const TimerId prev = pm_timers_.get(true_seq);
-        if (prev != kInvalidTimer) env_.timer_service().cancel(prev);
-        const TimerId id = env_.timer_service().schedule_after(timeout_, [this, true_seq] {
-            pm_timers_.clear(true_seq);
+        SendRecord& rec = record(true_seq);
+        if (rec.timer != kInvalidTimer) env_.timer_service().cancel(rec.timer);
+        rec.timer = env_.timer_service().schedule_after(timeout_, [this, true_seq] {
+            forget_timer(true_seq);
             per_message_fire(true_seq);
         });
-        pm_timers_.set(true_seq, id);
     }
 
     void on_simple_timeout() {
@@ -644,7 +662,12 @@ private:
         }
     }
 
-    bool matured(Seq true_seq) const { return txlog_.matured(true_seq, env_.now(), timeout_); }
+    /// The realistic per-message expiry test: the last copy was sent a
+    /// full timeout ago.
+    bool matured(Seq true_seq) const {
+        const SendRecord* rec = ring_.find(true_seq);
+        return rec != nullptr && env_.now() - rec->last_tx >= timeout_;
+    }
 
     void per_message_fire(Seq true_seq) {
         if (!core_.can_resend(true_seq)) return;  // acknowledged meanwhile
@@ -699,9 +722,7 @@ private:
             seq_scratch_.clear();
             core_.resend_candidates(seq_scratch_);
             for (const Seq true_seq : seq_scratch_) {
-                if (pm_timers_.get(true_seq) == kInvalidTimer) {
-                    schedule_per_message(true_seq);
-                }
+                if (record(true_seq).timer == kInvalidTimer) schedule_per_message(true_seq);
             }
         } else if (mode_ == TimeoutMode::SimpleTimer) {
             if (core_.has_outstanding() && !simple_timer_.armed()) {
@@ -783,14 +804,10 @@ private:
         log(Decision::Deliver, 'R', true_seq, true_seq);
         // Open loop measures arrival-to-delivery sojourn; closed loop
         // measures first-transmission-to-delivery.  An environment that
-        // only runs the receiving half has neither table filled in and
-        // records no latency (its clock is not the sender's).
-        const SimTime arrived = arrival_time_.get(true_seq);
-        if (arrived != SeqTimeTable::kNever) {
-            env_.latency().delivery.add(env_.now() - arrived);
-        } else {
-            const SimTime sent = first_send_.get(true_seq);
-            if (sent != SeqTimeTable::kNever) env_.latency().delivery.add(env_.now() - sent);
+        // only runs the receiving half has no send records and records
+        // no latency (its clock is not the sender's).
+        if (const SendRecord* rec = ring_.find(true_seq)) {
+            env_.latency().delivery.add(env_.now() - rec->origin);
         }
         if (delivered_ == cfg_.count) metrics_.end_time = env_.now();
     }
@@ -824,11 +841,9 @@ private:
     Seq ack_cursor_ = 0;    // messages retired by acks (latency sweep)
     Seq delivered_ = 0;     // in-order deliveries at the receiver (== true vr)
     Seq app_released_ = 0;  // open loop: messages made available so far
-    SeqTimeTable arrival_time_;     // open loop only
-    SeqTimeTable first_send_;       // true seq -> first tx time
-    TxLog txlog_;                   // true seq -> last tx time
-    SeqTimerTable pm_timers_;       // true seq -> live per-message timer
-    std::vector<Seq> seq_scratch_;  // candidate sets, reused per timeout/ack
+    SendRing ring_;                      // per-message records, true seq mod capacity
+    std::vector<SimTime> release_times_; // open loop: release k at k mod size
+    std::vector<Seq> seq_scratch_;       // candidate sets, reused per timeout/ack
     DecisionLog* log_ = nullptr;
 };
 

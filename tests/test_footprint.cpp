@@ -1,23 +1,24 @@
-// Per-session memory, measured.  A counting operator new -- the scheme
-// the E20-E25 benches use for allocation counts, extended to bytes --
-// tracks live heap bytes, so these tests pin what a session actually
-// costs: Server::session_footprint() (the figure arena_budget divides
-// by) against the heap a few hundred admitted sessions really hold, and
-// the receive half's per-seq tables against its rx_count.
+// Per-session memory, measured.  The benches' counting operator new
+// (bench/memory_probe.hpp) tracks live heap bytes, so these tests pin
+// what a session actually costs: Server::session_footprint() (the
+// figure arena_budget divides by) against the heap a few hundred
+// admitted sessions really hold, per-message state against the window
+// rather than the count, and a receiver's heap against payloads the
+// core rejected, discarded or had already delivered, none of which may
+// stay parked.
 
 #include <gtest/gtest.h>
 
-#include <malloc.h>
-
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <vector>
 
 #include "ba/engine_core.hpp"
+#include "baselines/engine_cores.hpp"
+#include "link/reliable_link.hpp"
+#include "memory_probe.hpp"
+#include "net/client_fleet.hpp"
 #include "net/clock.hpp"
 #include "net/frame_path.hpp"
 #include "net/inproc_hub.hpp"
@@ -25,20 +26,15 @@
 #include "net/server.hpp"
 #include "net/timer_wheel.hpp"
 #include "net/transport.hpp"
+#include "sim/simulator.hpp"
 #include "wire/codec.hpp"
-
-namespace bacp {
-// Live heap bytes (allocator usable size, so a free subtracts exactly
-// what its allocation added).
-std::atomic<std::int64_t> g_live_bytes{0};
-}  // namespace bacp
 
 namespace bacp::net {
 namespace {
 
 using Core = ba::EngineCore<ba::Sender, ba::Receiver>;
 
-std::int64_t live_bytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+std::int64_t live_bytes() { return memprobe::live_bytes_now(); }
 
 constexpr Seq kCount = 4;  // messages per session (E24's transfer)
 
@@ -176,37 +172,209 @@ TEST(Footprint, ReceiveHalfReservesNothingSizedByRxCount) {
     const std::int64_t small = endpoint_bytes(0, 4);
     EXPECT_EQ(endpoint_bytes(0, 1 << 20), small);
 
-    // The sending half does pre-size them, at start(): a control showing
-    // the measurement would see a table sized by the count.
-    NetConfig cfg;
-    cfg.w = 4;
-    cfg.count = 1 << 16;
-    cfg.payload_size = 32;
-    NetEndpoint<Core> sender(cfg, {}, wheel, *transport, &sink);
-    const std::int64_t before = live_bytes();
-    sender.start();
-    EXPECT_GE(live_bytes() - before, std::int64_t{2} * (1 << 16) * 8);
+    // Nor does the sending half size anything by its count: start()
+    // sizes the ring of per-message records by the window, so it
+    // allocates the same for 64 messages as for 2^16 (the first
+    // window's frames queue in the undrained hub alike).
+    const auto start_bytes = [&](Seq count) {
+        NetConfig cfg;
+        cfg.w = 4;
+        cfg.count = count;
+        cfg.payload_size = 32;
+        NetEndpoint<Core> sender(cfg, {}, wheel, *transport, &sink);
+        const std::int64_t before = live_bytes();
+        sender.start();
+        return live_bytes() - before;
+    };
+    start_bytes(64);  // warm-up, as above
+    const std::int64_t at_64 = start_bytes(64);
+    EXPECT_GT(at_64, 0);
+    EXPECT_EQ(start_bytes(1 << 16), at_64);
+}
+
+TEST(Footprint, FleetSessionHeapIndependentOfCount) {
+    // A ClientFleet session is a sourcing NetEndpoint driven through
+    // handle_frame: its heap is protocol state proper, and none of it
+    // may scale with the messages it will send.
+    const auto per_session = [](Seq count) {
+        constexpr std::size_t kSessions = 256;
+        ManualClock clock;
+        InprocHub hub(8192, 8192);
+        std::vector<std::unique_ptr<Transport>> sockets;
+        std::vector<Transport*> socket_ptrs;
+        for (int i = 0; i < 4; ++i) {
+            sockets.push_back(hub.make_client());
+            socket_ptrs.push_back(sockets.back().get());
+        }
+        FleetConfig cfg;
+        cfg.session.w = 4;
+        cfg.session.count = count;
+        cfg.session.payload_size = 32;
+        cfg.session.max_datagram = 32 + 128;
+        cfg.session.link_lifetime = 1 * kMillisecond;
+        cfg.session.timeout = 250 * kMillisecond;
+        cfg.sessions = kSessions;
+        const std::int64_t before = live_bytes();
+        ClientFleet<Core> fleet(cfg, {}, clock, socket_ptrs);
+        fleet.poll();  // admits every session: its first window leaves
+        EXPECT_EQ(fleet.stats().sessions_started, std::uint64_t{kSessions});
+        return static_cast<double>(live_bytes() - before) / kSessions;
+    };
+    per_session(64);  // warm-up: first-use allocations outside the fleet
+    const double at_64 = per_session(64);
+    const double at_4096 = per_session(4096);
+    RecordProperty("fleet_heap_bytes_per_session", static_cast<int>(at_64));
+    EXPECT_NEAR(at_4096, at_64, 1.0);
+}
+
+// ---- leak regressions ------------------------------------------------------
+//
+// Each case drives a pure receiver through NetEndpoint::handle_frame and
+// compares the heap it gains against an in-order control of the same
+// length on the same endpoint.  Acks leave for a peer queue nobody
+// drains, so the control grows by that backlog (~100 KB for 10k acks);
+// a case may grow by no more than the control plus kFlat.
+
+constexpr std::int64_t kFlat = 4096;
+constexpr std::size_t kPayload = 128;
+constexpr Seq kFrames = 10'000;
+
+/// A pure receiver over an InprocHub whose peer queue is never drained.
+template <typename C>
+class Receiver {
+public:
+    explicit Receiver(runtime::AckPolicy policy = runtime::AckPolicy::eager(),
+                      typename C::Options options = {})
+        : wheel_(clock_), transport_(hub_.make_client()) {
+        NetConfig cfg;
+        cfg.w = 16;
+        cfg.count = 0;
+        cfg.rx_count = runtime::kUnboundedCount;
+        cfg.payload_size = kPayload;
+        cfg.batch = 1;
+        cfg.ack_policy = policy;
+        endpoint_ = std::make_unique<NetEndpoint<C>>(cfg, options, wheel_, *transport_, &sink_);
+        frame_.reserve(kPayload + 64);
+        payload_.resize(kPayload);
+    }
+
+    /// Feeds one pattern-payload DATA frame per seq; returns the live
+    /// heap bytes the endpoint (and the hub's ack backlog) gained.
+    std::int64_t feed(const std::vector<Seq>& seqs) {
+        const std::int64_t before = live_bytes();
+        for (const Seq seq : seqs) {
+            pattern_fill(seq, payload_);
+            frame_.clear();
+            wire::encode_data_to(frame_, seq, payload_, wire::kFlagNone, wire::kNoStream,
+                                 wire::Conn{});
+            const wire::ViewResult view = wire::decode_view(frame_);
+            endpoint_->handle_frame(view.frame());
+        }
+        return live_bytes() - before;
+    }
+
+    const NetEndpoint<C>& endpoint() const { return *endpoint_; }
+
+private:
+    ManualClock clock_;
+    TimerWheel wheel_;
+    InprocHub hub_{16384, 16384};
+    std::unique_ptr<Transport> transport_;
+    sim::LatencyHistograms sink_;
+    std::unique_ptr<NetEndpoint<C>> endpoint_;
+    std::vector<std::uint8_t> frame_;
+    std::vector<std::uint8_t> payload_;
+};
+
+std::vector<Seq> run(Seq first, Seq n) {
+    std::vector<Seq> seqs(n);
+    for (Seq i = 0; i < n; ++i) seqs[i] = first + i;
+    return seqs;
+}
+
+TEST(Footprint, RejectedBeyondWindowFramesLeaveNoTrace) {
+    Receiver<Core> rx;
+    rx.feed(run(0, 64));  // warm-up
+    const std::vector<Seq> in_order = run(64, kFrames);
+    // CRC-valid frames the core must reject: every seq >= nr + w.
+    const std::vector<Seq> beyond = run(64 + kFrames + 16, kFrames);
+    const std::int64_t control = rx.feed(in_order);
+    const std::int64_t rejected = rx.feed(beyond);
+    EXPECT_EQ(rx.endpoint().delivered(), 64 + kFrames);
+    EXPECT_EQ(rx.endpoint().rx_metrics().decode_errors, kFrames);
+    EXPECT_LE(rejected, control + kFlat) << "control " << control;
+}
+
+/// Replays every delivered seq into a receiver that re-acks but never
+/// buffers them (go-back-N discards, selective repeat re-acks).
+template <typename C>
+void expect_replay_flat(typename C::Options options = {}) {
+    Receiver<C> rx(runtime::AckPolicy::eager(), options);
+    rx.feed(run(0, 64));
+    const std::vector<Seq> in_order = run(64, kFrames);
+    const std::int64_t control = rx.feed(in_order);
+    const std::int64_t replay = rx.feed(in_order);
+    EXPECT_EQ(rx.endpoint().delivered(), 64 + kFrames);
+    EXPECT_EQ(rx.endpoint().rx_metrics().duplicates, kFrames);
+    EXPECT_EQ(rx.endpoint().payload_mismatches(), 0u);
+    EXPECT_LE(replay, control + kFlat) << "control " << control;
+}
+
+TEST(Footprint, DeliveredReplayIntoGoBackNLeavesNoTrace) {
+    expect_replay_flat<baselines::GbnCore>();
+}
+
+TEST(Footprint, DeliveredReplayIntoSelectiveRepeatLeavesNoTrace) {
+    expect_replay_flat<baselines::SrCore>();
+}
+
+TEST(Footprint, DuplicatesOfDeliveredUnackedLeaveNoTrace) {
+    // Under batch(8, 1 s) on a clock that never moves, each run of 8
+    // in-order arrivals is one ack.  Duplicates of the first 7 arrive
+    // while they are delivered but not yet acknowledged -- seqs in
+    // [nr, vr), which block ack answers with no dup-ack at all.
+    Receiver<Core> rx(runtime::AckPolicy::batch(8, 1 * kSecond));
+    constexpr Seq kRounds = 700;  // 4,900 duplicates
+    std::vector<Seq> control;
+    std::vector<Seq> with_dups;
+    for (Seq r = 0; r < kRounds; ++r) {
+        const Seq base = 64 + 8 * r;
+        for (Seq k = 0; k < 8; ++k) control.push_back(base + k);
+        const Seq dup_base = 64 + 8 * (kRounds + r);
+        for (Seq k = 0; k < 7; ++k) with_dups.push_back(dup_base + k);
+        for (Seq k = 0; k < 7; ++k) with_dups.push_back(dup_base + k);
+        with_dups.push_back(dup_base + 7);
+    }
+    rx.feed(run(0, 64));
+    const std::int64_t in_order = rx.feed(control);
+    const std::int64_t dups = rx.feed(with_dups);
+    EXPECT_EQ(rx.endpoint().delivered(), 64 + 2 * 8 * kRounds);
+    EXPECT_EQ(rx.endpoint().rx_metrics().acks_sent, rx.endpoint().delivered() / 8);
+    EXPECT_EQ(rx.endpoint().payload_mismatches(), 0u);
+    EXPECT_LE(dups, in_order + kFlat) << "control " << in_order;
+}
+
+TEST(Footprint, OpenEndedLinkHeapFlatInPayloadCount) {
+    // A DES ReliableLink is open-ended (kUnboundedCount): its driver's
+    // per-message state must stay window-sized however long it runs.
+    sim::Simulator sim;
+    link::ReliableLink link(sim, {.w = 16, .loss = 0.02, .seed = 5});
+    std::uint64_t delivered = 0;
+    link.set_on_deliver([&](std::span<const std::uint8_t>) { ++delivered; });
+    const std::vector<std::uint8_t> payload(64, 0x5a);
+    const auto pump_to = [&](std::uint64_t total) {
+        while (delivered < total) {
+            for (int i = 0; i < 100; ++i) link.send(payload);
+            sim.run();
+        }
+        EXPECT_TRUE(link.idle());
+        return live_bytes();
+    };
+    const std::int64_t at_10k = pump_to(10'000);
+    const std::int64_t at_100k = pump_to(100'000);
+    EXPECT_EQ(delivered, 100'000u);
+    EXPECT_LE(at_100k - at_10k, kFlat) << "at 10k " << at_10k;
 }
 
 }  // namespace
 }  // namespace bacp::net
-
-// Out-of-line so the hook covers the whole binary (same replacement
-// shape as the bench gates' counting allocator, counting bytes).
-void* operator new(std::size_t n) {
-    void* p = std::malloc(n ? n : 1);
-    if (p == nullptr) throw std::bad_alloc();
-    bacp::g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
-                                 std::memory_order_relaxed);
-    return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept {
-    if (p == nullptr) return;
-    bacp::g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
-                                 std::memory_order_relaxed);
-    std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }

@@ -731,50 +731,56 @@ TEST(PayloadStash, SameKeyOverwritesLatestWins) {
     EXPECT_EQ(*stash.find(7), bytes_of({2, 2}));
 }
 
-TEST(PayloadStash, CollidingKeysSurviveBackwardShiftDeletion) {
-    PayloadStash stash(4);  // capacity 8: keys k and k+8 share a home slot
-    const std::size_t cap = stash.capacity();
-    // Three keys homed on the same slot, forcing a probe chain.
-    const Seq a = 1, b = 1 + cap, c = 1 + 2 * cap;
+TEST(PayloadStash, KeysAWindowApartShareOneSlot) {
+    PayloadStash stash(4);  // w = 4: keys k and k+4 map to one slot
+    const Seq a = 1, b = 1 + 4;
     stash.put(a, bytes_of({0xA}));
     stash.put(b, bytes_of({0xB}));
-    stash.put(c, bytes_of({0xC}));
-    // Deleting the chain head must keep the displaced entries findable.
-    EXPECT_TRUE(stash.erase(a));
+    // The older key is a whole window back, so it is dead: its tag no
+    // longer matches and it reads as absent.
+    EXPECT_EQ(stash.find(a), nullptr);
     ASSERT_NE(stash.find(b), nullptr);
     EXPECT_EQ(*stash.find(b), bytes_of({0xB}));
-    ASSERT_NE(stash.find(c), nullptr);
-    EXPECT_EQ(*stash.find(c), bytes_of({0xC}));
-    // And the middle of the chain.
-    stash.put(a, bytes_of({0xA}));
+    EXPECT_EQ(stash.size(), 1u);
+    EXPECT_FALSE(stash.erase(a));
     EXPECT_TRUE(stash.erase(b));
-    EXPECT_EQ(*stash.find(a), bytes_of({0xA}));
-    EXPECT_EQ(*stash.find(c), bytes_of({0xC}));
-    EXPECT_EQ(stash.find(b), nullptr);
+    EXPECT_TRUE(stash.empty());
 }
 
-TEST(PayloadStash, GrowsPastInitialCapacity) {
-    PayloadStash stash(2);
-    const std::size_t initial = stash.capacity();
-    for (Seq k = 0; k < 64; ++k) stash.put(k, bytes_of({static_cast<std::uint8_t>(k)}));
-    EXPECT_GT(stash.capacity(), initial);
-    EXPECT_EQ(stash.size(), 64u);
-    for (Seq k = 0; k < 64; ++k) {
+TEST(PayloadStash, FullWindowFitsFixedSlots) {
+    PayloadStash stash(8);
+    EXPECT_EQ(stash.capacity(), 8u);
+    // Everything buffered beyond vr = 20: keys (20, 28).
+    for (Seq k = 21; k < 28; ++k) stash.put(k, bytes_of({static_cast<std::uint8_t>(k)}));
+    // A residue core (domain 2w = 16) wrapping its domain: vr = 12,
+    // buffered true seqs 13..19 travel as 13, 14, 15, 0, 1, 2, 3.
+    PayloadStash residues(8);
+    for (Seq t = 13; t < 20; ++t) residues.put(t % 16, bytes_of({static_cast<std::uint8_t>(t)}));
+    EXPECT_EQ(stash.capacity(), 8u);
+    EXPECT_EQ(stash.size(), 7u);
+    EXPECT_EQ(residues.size(), 7u);
+    for (Seq k = 21; k < 28; ++k) {
         ASSERT_NE(stash.find(k), nullptr) << k;
         EXPECT_EQ(stash.find(k)->at(0), static_cast<std::uint8_t>(k));
+    }
+    for (Seq t = 13; t < 20; ++t) {
+        ASSERT_NE(residues.find(t % 16), nullptr) << t;
+        EXPECT_EQ(residues.find(t % 16)->at(0), static_cast<std::uint8_t>(t));
     }
 }
 
 TEST(PayloadStash, RandomOpsAgreeWithUnorderedMapOracle) {
-    PayloadStash stash(8);
+    constexpr Seq kW = 8;
+    PayloadStash stash(kW);
     std::unordered_map<Seq, std::vector<std::uint8_t>> oracle;
     std::mt19937_64 rng(0xBACBAC);
-    // Keys clustered in a small range so collisions and probe chains are
-    // constant, plus occasional far keys exercising wraparound homes.
+    // The stash's contract: live keys lie in one window [base, base + w)
+    // that only slides forward, and the receiver consumes (erases) each
+    // key as the window passes it -- in-order delivery.
+    Seq base = 0;
     for (int op = 0; op < 20000; ++op) {
-        const Seq key = (rng() % 64 == 0) ? static_cast<Seq>(rng())
-                                          : static_cast<Seq>(rng() % 48);
-        switch (rng() % 3) {
+        const Seq key = base + rng() % kW;
+        switch (rng() % 4) {
             case 0: {
                 std::vector<std::uint8_t> payload(rng() % 16);
                 for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng());
@@ -793,13 +799,22 @@ TEST(PayloadStash, RandomOpsAgreeWithUnorderedMapOracle) {
                 }
                 break;
             }
-            default:
+            case 2:
                 ASSERT_EQ(stash.erase(key), oracle.erase(key) > 0)
                     << "op " << op << " key " << key;
                 break;
+            default: {
+                const Seq next = base + 1 + rng() % 3;
+                for (; base < next; ++base) {
+                    ASSERT_EQ(stash.erase(base), oracle.erase(base) > 0)
+                        << "op " << op << " key " << base;
+                }
+                break;
+            }
         }
         ASSERT_EQ(stash.size(), oracle.size());
     }
+    EXPECT_EQ(stash.capacity(), kW);
 }
 
 // ---- TimerWheel under multi-session churn ------------------------------
