@@ -14,7 +14,8 @@
 // Reported per point: aggregate goodput, server-side datagrams per
 // syscall, p99 send-to-accept ack latency (merged across every client's
 // driver histogram), bytes per session, resident KB and minor page
-// faults per session (both sides), the clients' retransmissions, and
+// faults per session (both sides), the clients' retransmissions, the
+// server's block acks merged within a receive batch, and
 // steady-state allocations per received datagram under the same
 // counting-allocator hook as E20/E21 -- the second half of each run
 // must not allocate at all once arenas, slabs, stashes, and session
@@ -106,6 +107,8 @@ struct ScaleResult {
     ServerStats server_stats;
     sim::Metrics server_protocol;   // summed across sessions
     sim::Metrics client_protocol;   // summed across clients
+    // Server acks merged into an earlier block of their receive batch.
+    std::uint64_t acks_coalesced = 0;
 
     double goodput_mbps() const {
         if (wall_sec <= 0) return 0;
@@ -283,6 +286,7 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
     for (const SessionView& v : server.sessions()) {
         out.bytes_delivered += v.bytes_delivered;
         out.delivered += v.delivered;
+        out.acks_coalesced += v.acks_coalesced;
     }
     return out;
 }
@@ -337,7 +341,8 @@ int main(int argc, char** argv) {
 
     workload::Table table({"sessions", "msgs/session", "goodput", "acks/sendmmsg",
                            "p99 ack", "KiB/session", "steady allocs/dgram",
-                           "RSS KB/session", "minflt/session", "data_retx", "done"});
+                           "RSS KB/session", "minflt/session", "data_retx",
+                           "acks coalesced", "done"});
     bench::Json points = bench::Json::array();
     bool over_budget = false;
     bool incomplete = false;
@@ -364,7 +369,7 @@ int main(int argc, char** argv) {
                        workload::fmt(r.rss_kb_per_session, 2),
                        workload::fmt(r.minflt_per_session, 2),
                        std::to_string(r.client_protocol.data_retx),
-                       r.completed ? "yes" : "NO"});
+                       std::to_string(r.acks_coalesced), r.completed ? "yes" : "NO"});
         points.push(
             bench::Json::object()
                 .set("sessions", bench::Json::num(static_cast<std::uint64_t>(sessions)))
@@ -381,6 +386,7 @@ int main(int argc, char** argv) {
                 .set("rss_kb_per_session", bench::Json::num(r.rss_kb_per_session))
                 .set("minflt_per_session", bench::Json::num(r.minflt_per_session))
                 .set("data_retx", bench::Json::num(r.client_protocol.data_retx))
+                .set("acks_coalesced", bench::Json::num(r.acks_coalesced))
                 .set("server_transport", bench::counters_json(r.server_transport))
                 .set("server_stats", bench::counters_json(r.server_stats))
                 .set("server_protocol", bench::counters_json(r.server_protocol))

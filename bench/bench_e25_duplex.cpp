@@ -198,11 +198,11 @@ int main(int argc, char** argv) {
             ? 1.0 - static_cast<double>(dgrams_duplex) / static_cast<double>(dgrams_two_oneway)
             : 0.0;
 
-    workload::Table table{{"configuration", "datagrams", "piggybacked", "retx",
+    workload::Table table{{"configuration", "datagrams", "piggybacked", "coalesced", "retx",
                            "virtual ms", "corrupt"}};
     auto add_row = [&table](const char* name, const net::NetReport& r) {
         table.add_row({name, std::to_string(total_datagrams(r)), ratio_cell(r),
-                       std::to_string(r.metrics.data_retx),
+                       std::to_string(r.acks_coalesced), std::to_string(r.metrics.data_retx),
                        workload::fmt(to_seconds(r.elapsed) * 1e3, 1),
                        std::to_string(r.payload_mismatches)});
     };
@@ -227,6 +227,7 @@ int main(int argc, char** argv) {
     const bool replays = on.report.completed && replay.report.completed &&
                          on.report.piggybacked == replay.report.piggybacked &&
                          on.report.standalone_acks == replay.report.standalone_acks &&
+                         on.report.acks_coalesced == replay.report.acks_coalesced &&
                          on.report.bytes_delivered == replay.report.bytes_delivered &&
                          on.report.reverse_bytes_delivered ==
                              replay.report.reverse_bytes_delivered &&
@@ -271,6 +272,9 @@ int main(int argc, char** argv) {
     gate(on.report.piggyback_ratio() >= 0.5, "piggyback ratio >= 50%");
     gate(dgrams_duplex < dgrams_two_oneway, "duplex datagrams < two one-way sessions");
     gate(replays, "deterministic replay");
+    gate(on.report.ack_ledger_balances() && off.report.ack_ledger_balances() &&
+             oneway_a.ack_ledger_balances() && oneway_b.ack_ledger_balances(),
+         "every ack decision egressed or merged");
     gate(udp_ok, "UDP duplex row completed");
     if (check_budget >= 0) {
         gate(on.steady_allocs_per_dgram <= check_budget,
@@ -289,6 +293,7 @@ int main(int argc, char** argv) {
         .meta("piggyback_ratio", bench::Json::num(on.report.piggyback_ratio()))
         .meta("piggybacked", bench::Json::num(on.report.piggybacked))
         .meta("standalone_acks", bench::Json::num(on.report.standalone_acks))
+        .meta("acks_coalesced", bench::Json::num(on.report.acks_coalesced))
         .meta("datagrams_duplex", bench::Json::num(dgrams_duplex))
         .meta("datagrams_two_oneway", bench::Json::num(dgrams_two_oneway))
         .meta("datagram_savings", bench::Json::num(savings))

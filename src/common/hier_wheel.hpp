@@ -71,10 +71,13 @@ public:
     static constexpr std::size_t bytes_per_timer() { return sizeof(Node) + sizeof(Staged); }
 
     /// Pre-size the node slab (and fire scratch) for `n` concurrent
-    /// timers so steady state never allocates.
+    /// timers so steady state never allocates.  Growth is geometric:
+    /// hosts reserve once per session they build, with other sessions'
+    /// timers live, and an exact-size reserve would copy the whole slab
+    /// every time.
     void reserve(std::size_t n) {
-        slab_.reserve(n);
-        staged_.reserve(n);
+        grow(slab_, n);
+        grow(staged_, n);
     }
 
     /// Arm `fn` at absolute deadline `time` (>= `now`, the caller's
@@ -187,6 +190,12 @@ private:
     }
     static std::uint64_t tick_of(SimTime t) {
         return t <= 0 ? 0 : static_cast<std::uint64_t>(t) >> kTickShift;
+    }
+
+    /// Capacity for at least `n`, at least doubling when it grows.
+    template <typename V>
+    static void grow(V& v, std::size_t n) {
+        if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
     }
 
     /// Lowest level whose span separates `tick` from the base cursor.

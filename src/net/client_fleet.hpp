@@ -26,6 +26,13 @@
 /// memory and models a realistic arrival process instead of 100k
 /// simultaneous SYN-storms -- the server still holds every admitted
 /// session's state concurrently, which is what bench_e24 measures.
+/// A session's endpoint is built when it is admitted and freed when it
+/// finishes (its counters fold into a fleet total first), so the fleet
+/// holds at most max_active endpoints whatever its session count; late
+/// frames for a retired or not yet started conn are counted and dropped.
+///
+/// Each drained receive batch is bracketed on every session it fed
+/// (NetEndpoint::begin_batch / end_batch), as the server's shards do.
 
 #include <algorithm>
 #include <array>
@@ -76,9 +83,12 @@ struct FleetStats {
     std::uint64_t decode_errors = 0;  // pre-demux rejects
     std::uint64_t crc_errors = 0;
     std::uint64_t unknown_conn_drops = 0;  // acks outside the dense range
+    /// Frames for a conn in the range whose session is not running: not
+    /// admitted yet, or finished and freed (a late duplicate ack).
+    std::uint64_t idle_conn_drops = 0;
 
     using Field = MetricsField;
-    static constexpr std::size_t kFieldCount = 6;
+    static constexpr std::size_t kFieldCount = 7;
 
     static constexpr std::array<CounterDef<FleetStats>, kFieldCount> kCounters = {{
         {"sessions_started", &FleetStats::sessions_started},
@@ -87,6 +97,7 @@ struct FleetStats {
         {"decode_errors", &FleetStats::decode_errors},
         {"crc_errors", &FleetStats::crc_errors},
         {"unknown_conn_drops", &FleetStats::unknown_conn_drops},
+        {"idle_conn_drops", &FleetStats::idle_conn_drops},
     }};
 
     std::array<Field, kFieldCount> fields() const { return counter_fields(*this, kCounters); }
@@ -105,6 +116,7 @@ public:
     /// its own socket.
     ClientFleet(FleetConfig cfg, Options options, Clock& clock, std::vector<Transport*> sockets)
         : cfg_(std::move(cfg)),
+          options_(std::move(options)),
           wheel_(std::make_unique<TimerWheel>(clock)),
           rx_(cfg_.sessions > 0 ? cfg_.recv_batch : 1, cfg_.session.max_datagram) {
         BACP_ASSERT_MSG(!sockets.empty(), "fleet needs at least one socket");
@@ -115,19 +127,8 @@ public:
             sock->transport = t;
             sockets_.push_back(std::move(sock));
         }
-        members_.reserve(cfg_.sessions);
-        for (std::size_t i = 0; i < cfg_.sessions; ++i) {
-            const Seq conn = cfg_.first_conn + static_cast<Seq>(i);
-            NetConfig session_cfg = cfg_.session;
-            // Every send lands in the socket batch the same tick; the
-            // *socket* flush is the real batching boundary.
-            session_cfg.batch = 1;
-            session_cfg.seed = runtime::mix_seed(cfg_.session.seed, conn);
-            session_cfg.conn = wire::Conn{conn, cfg_.epoch};
-            members_.push_back(std::make_unique<Member>(session_cfg, options, *wheel_,
-                                                        sockets_[i % sockets_.size()]->staging,
-                                                        latency_));
-        }
+        members_.resize(cfg_.sessions);  // built on admission, freed on finish
+        touched_.reserve(rx_.capacity());
     }
 
     ClientFleet(const ClientFleet&) = delete;
@@ -143,6 +144,7 @@ public:
             for (;;) {
                 const std::size_t n = sock->transport->recv_batch(rx_);
                 for (std::size_t i = 0; i < n; ++i) demux(rx_[i]);
+                close_batches();
                 work += n;
                 if (n < rx_.capacity()) break;
             }
@@ -174,10 +176,13 @@ public:
         return total;
     }
 
-    /// Per-session protocol counters, summed (not hot path).
+    /// Per-session protocol counters, summed over running and finished
+    /// sessions (not hot path).
     sim::Metrics protocol_metrics() const {
-        sim::Metrics total;
-        for (const auto& m : members_) total.add_counters_from(m->sender.metrics());
+        sim::Metrics total = retired_;
+        for (const auto& m : members_) {
+            if (m) total.add_counters_from(m->sender.metrics());
+        }
         return total;
     }
 
@@ -223,7 +228,6 @@ private:
         FleetEgress egress;        // declared first: sender holds a reference
         NetEndpoint<Core> sender;
         bool touched = false;
-        bool finished = false;
     };
 
     void demux(std::span<const std::uint8_t> bytes) {
@@ -241,41 +245,80 @@ private:
             ++stats_.unknown_conn_drops;
             return;
         }
-        Member& m = *members_[static_cast<std::size_t>(conn - cfg_.first_conn)];
-        if (!m.touched) {
-            m.touched = true;
+        const std::size_t idx = static_cast<std::size_t>(conn - cfg_.first_conn);
+        Member* m = members_[idx].get();
+        if (m == nullptr) {
+            ++stats_.idle_conn_drops;
+            return;
+        }
+        if (!m->touched) {
+            m->touched = true;
             ++stats_.sessions_touched;
         }
-        m.sender.handle_frame(frame);
+        if (!m->sender.batch_open()) {
+            m->sender.begin_batch();
+            touched_.push_back(idx);
+        }
+        m->sender.handle_frame(frame);
         // done() flips only on an ack, i.e. exactly here -- so the
         // finished count stays exact without scanning every session.
-        if (!m.finished && m.sender.done()) {
-            m.finished = true;
-            ++stats_.sessions_finished;
-        }
+        if (m->sender.done()) retire(idx);
     }
 
-    /// Starts unstarted sessions while the admission window has room;
-    /// their initial windows stage onto the socket batches and leave
-    /// with this tick's flush.
+    /// Ends the receive batch of every session the batch fed (retired
+    /// ones closed theirs on the way out).
+    void close_batches() {
+        for (const std::size_t idx : touched_) {
+            if (members_[idx]) members_[idx]->sender.end_batch();
+        }
+        touched_.clear();
+    }
+
+    /// A finished session leaves: its held acks go out, its counters
+    /// fold into the fleet total, and its endpoint is freed (its
+    /// destructor cancels every timer it still has on the wheel).
+    void retire(std::size_t idx) {
+        NetEndpoint<Core>& sender = members_[idx]->sender;
+        sender.end_batch();
+        retired_.add_counters_from(sender.metrics());
+        members_[idx].reset();
+        ++stats_.sessions_finished;
+    }
+
+    /// Builds and starts unstarted sessions while the admission window
+    /// has room; their initial windows stage onto the socket batches
+    /// and leave with this tick's flush.
     std::size_t admit() {
         const std::size_t cap = cfg_.max_active > 0 ? cfg_.max_active : members_.size();
         std::size_t admitted = 0;
         while (next_start_ < members_.size() && active_count() < cap) {
-            members_[next_start_]->sender.start();
+            const std::size_t idx = next_start_;
+            const Seq conn = cfg_.first_conn + static_cast<Seq>(idx);
+            NetConfig session_cfg = cfg_.session;
+            // Every send lands in the socket batch the same tick; the
+            // *socket* flush is the real batching boundary.
+            session_cfg.batch = 1;
+            session_cfg.seed = runtime::mix_seed(cfg_.session.seed, conn);
+            session_cfg.conn = wire::Conn{conn, cfg_.epoch};
+            members_[idx] = std::make_unique<Member>(
+                session_cfg, options_, *wheel_, sockets_[idx % sockets_.size()]->staging, latency_);
             ++next_start_;
             ++stats_.sessions_started;
             ++admitted;
+            members_[idx]->sender.start();
         }
         return admitted;
     }
 
     FleetConfig cfg_;
+    Options options_;
     std::unique_ptr<TimerWheel> wheel_;  // shared by every session
     RecvBatch rx_;                       // shared receive arena
     sim::LatencyHistograms latency_;     // shared latency sink
     std::vector<std::unique_ptr<Socket>> sockets_;
-    std::vector<std::unique_ptr<Member>> members_;
+    std::vector<std::unique_ptr<Member>> members_;  // null: unstarted or retired
+    std::vector<std::size_t> touched_;  // members fed by the current receive batch
+    sim::Metrics retired_;              // counters of finished sessions, summed
     std::size_t next_start_ = 0;
     FleetStats stats_;
 };

@@ -244,19 +244,23 @@ public:
 
     /// One event-loop iteration: fires due timers, pushes out matured
     /// delayed copies, then handles every datagram currently readable --
-    /// drained a whole arena at a time -- and finally flushes everything
-    /// the tick staged (new sends, retransmits, acks) as one batch.
-    /// Returns how many units of work (timers + datagrams) were processed.
+    /// drained a whole arena at a time, as one receive batch, so
+    /// contiguous block acks leave as one frame -- and finally flushes
+    /// everything the tick staged (new sends, retransmits, acks) as one
+    /// batch.  Returns how many units of work (timers + datagrams) were
+    /// processed.
     std::size_t poll() {
         std::size_t work = wheel_.fire_due();
         transport_->flush();  // delayed impairer copies matured above
         RecvBatch& rx = rx_batch();
+        duplex_.begin_batch();
         for (;;) {
             const std::size_t n = transport_->recv_batch(rx);
             for (std::size_t i = 0; i < n; ++i) frames_.receive(duplex_, rx[i]);
             work += n;
             if (n < rx.capacity()) break;
         }
+        duplex_.end_batch();
         tx_batch_.flush(*transport_);
         return work;
     }
@@ -267,6 +271,14 @@ public:
     /// direction this endpoint does not run are counted as anomalies
     /// and dropped.
     void handle_frame(const wire::FrameView& frame) { frames_.dispatch(duplex_, frame); }
+
+    /// Bracket the frames a host feeds through handle_frame() from one
+    /// receive batch (runtime::DuplexDriver::begin_batch): contiguous
+    /// block acks of the batch merge, and end_batch() emits the merged
+    /// block into the egress before the host flushes it.
+    void begin_batch() { duplex_.begin_batch(); }
+    void end_batch() { duplex_.end_batch(); }
+    bool batch_open() const { return duplex_.batch_open(); }
 
     /// Every originated message sent and acknowledged, every expected
     /// arrival delivered.
@@ -283,6 +295,10 @@ public:
     /// Acks that rode reverse DATA frames vs. egressed standalone.
     std::uint64_t piggybacked() const { return duplex_.piggybacked(); }
     std::uint64_t standalone_acks() const { return duplex_.standalone_acks(); }
+    /// Ack blocks merged into an earlier block of the same receive
+    /// batch, and blocks still waiting to egress.
+    std::uint64_t acks_coalesced() const { return duplex_.acks_coalesced(); }
+    std::uint64_t acks_deferred() const { return duplex_.acks_deferred(); }
 
     TimerWheel& wheel() { return wheel_; }
     SimTime timeout_value() const { return duplex_.timeout_value(); }
@@ -389,6 +405,18 @@ struct NetReport {
     /// DATA vs. standalone ACK frames.
     std::uint64_t piggybacked = 0;
     std::uint64_t standalone_acks = 0;
+    /// Ack blocks merged into an earlier block of their receive batch,
+    /// and blocks still deferred when the run ended.
+    std::uint64_t acks_coalesced = 0;
+    std::uint64_t acks_deferred = 0;
+
+    /// Every ack decision accounted for: emitted in a frame, merged into
+    /// another block, or still deferred.  Exact for cores whose blocks
+    /// never wrap the wire domain (a wrapped block may ride in slices).
+    bool ack_ledger_balances() const {
+        return metrics.acks_sent + metrics.dup_acks ==
+               standalone_acks + piggybacked + acks_coalesced + acks_deferred;
+    }
     Metrics impair_sr;  // impairment boundary, A -> B direction
     Metrics impair_rs;
     Metrics transport_sr;  // inner transport, post-impairment
@@ -608,6 +636,8 @@ private:
         report.payload_mismatches = a_->payload_mismatches() + b_->payload_mismatches();
         report.piggybacked = a_->piggybacked() + b_->piggybacked();
         report.standalone_acks = a_->standalone_acks() + b_->standalone_acks();
+        report.acks_coalesced = a_->acks_coalesced() + b_->acks_coalesced();
+        report.acks_deferred = a_->acks_deferred() + b_->acks_deferred();
         report.impair_sr = imp_a_->impair_stats();
         report.impair_rs = imp_b_->impair_stats();
         report.transport_sr = raw_a_->stats();

@@ -231,6 +231,11 @@ struct SessionView {
     std::uint64_t payload_mismatches = 0;
     Metrics transport;     // egress totals (+ impairment decisions if any)
     sim::Metrics protocol;  // driver counters, both halves summed
+    /// Ack egress: blocks sent standalone, ridden on reverse DATA, and
+    /// merged into an earlier block of their receive batch.
+    std::uint64_t standalone_acks = 0;
+    std::uint64_t piggybacked = 0;
+    std::uint64_t acks_coalesced = 0;
 };
 
 std::pair<std::vector<std::unique_ptr<UdpTransport>>, std::uint16_t> inline make_reuseport_shards(
@@ -266,6 +271,8 @@ public:
             shard->transport = transport;
             shard->wheel = std::make_unique<TimerWheel>(clock);
             shard->rx.reshape(cfg_.recv_batch, cfg_.session.max_datagram);
+            // A receive batch touches at most one session per datagram.
+            shard->touched.reserve(cfg_.recv_batch);
             // Warm the session table toward its cap without paying the
             // full worst case up front: growth doubles from here, and
             // once high water is reached steady state never allocates.
@@ -337,6 +344,7 @@ public:
         for (;;) {
             const std::size_t n = s.transport->recv_batch(s.rx);
             for (std::size_t i = 0; i < n; ++i) demux(s, s.rx.peer(i), s.rx[i]);
+            close_batches(s);
             work += n;
             if (n < s.rx.capacity()) break;
         }
@@ -460,6 +468,9 @@ public:
                 v.payload_mismatches = session.endpoint->payload_mismatches();
                 v.transport = session_transport(session);
                 v.protocol = session.endpoint->metrics();
+                v.standalone_acks = session.endpoint->standalone_acks();
+                v.piggybacked = session.endpoint->piggybacked();
+                v.acks_coalesced = session.endpoint->acks_coalesced();
                 views.push_back(std::move(v));
             });
         }
@@ -539,6 +550,11 @@ private:
         bool has_impaired = false;
         std::vector<SessionKey> evict_scratch;
         std::size_t victim_cursor = 0;  // rotating pressure-sampling start
+        /// Sessions fed from the current receive batch, each with its
+        /// batch open (NetEndpoint::begin_batch).  Handles, not
+        /// pointers: an admission mid-batch may grow the slab, and an
+        /// eviction or reset mid-batch leaves a dead handle behind.
+        std::vector<typename FlatTable<SessionKey, Session, SessionKeyHash>::Handle> touched;
     };
 
     static Metrics session_transport(const Session& session) {
@@ -585,7 +601,22 @@ private:
             return;
         }
         session->last_activity = s.wheel->now();
+        if (!session->endpoint->batch_open()) {
+            session->endpoint->begin_batch();
+            s.touched.push_back(s.sessions.handle_of(key));
+        }
         session->endpoint->handle_frame(frame);
+    }
+
+    /// Ends the receive batch of every session the batch fed: each emits
+    /// its merged block acks into the shard egress ahead of the flush.
+    /// Sessions evicted since are gone; a reset session's handle names
+    /// its new endpoint, whose batch end_batch() closes the same way.
+    void close_batches(Shard& s) {
+        for (const auto handle : s.touched) {
+            if (Session* session = s.sessions.get(handle)) session->endpoint->end_batch();
+        }
+        s.touched.clear();
     }
 
     Session* make_session(Shard& s, const SessionKey& key, PeerAddr peer, Seq conn, Seq epoch,
@@ -627,6 +658,7 @@ private:
         s.victim_cursor = (s.victim_cursor + kSamples) % std::max<std::size_t>(slots, 1);
         if (!found) return false;
         Session* doomed = s.sessions.find(victim);
+        doomed->endpoint->end_batch();  // its held acks leave before it dies
         s.drained += session_transport(*doomed);
         s.sessions.erase(victim);  // destructors cancel all wheel timers
         return true;
@@ -660,6 +692,8 @@ private:
     void reset_session(Shard& s, Session& session, Seq epoch) {
         // Order matters: the endpoint sends through the impairer, so it
         // dies first; both cancel their wheel timers on destruction.
+        // The old incarnation's held acks leave first.
+        session.endpoint->end_batch();
         s.drained += session_transport(session);
         session.endpoint.reset();
         session.impairer.reset();

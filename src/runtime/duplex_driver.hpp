@@ -36,6 +36,23 @@
 /// of zero) behaves byte-identically to a bare EndpointDriver, which is
 /// what lets net::NetEndpoint replace the old NetSender/NetReceiver
 /// pair without disturbing the pinned decision parity.
+///
+/// Receive batches (begin_batch / end_batch): a host that feeds several
+/// frames from one receive batch brackets them, and while the bracket
+/// is open a block ack that starts where the newest block of the batch
+/// ends (lo == hi + 1) extends that block instead of leaving as a frame
+/// of its own -- the paper leaves the moment of action 5 free, and the
+/// batch's end is the latest moment that adds no latency.  Only
+/// cumulative cores (Core::kCumulativeAcks: ba, gbn, abp, tc) merge,
+/// and only unwrapped blocks; selective repeat's acks name single
+/// arrivals and pass through untouched.  Without piggybacking at most
+/// one block is held, and a non-contiguous ack, a dup-ack, a NAK or
+/// outgoing DATA emits it first, so wire order is kept; end_batch()
+/// emits whatever is still held.  With piggybacking the merge extends
+/// the deferral queue's tail.  The inner drivers still log and count
+/// every AckBlock decision, so decision streams and acks_sent do not
+/// see the merge; acks_coalesced() counts the blocks it absorbed.  The
+/// DES never opens a batch.
 
 #include <cstddef>
 #include <cstdint>
@@ -159,9 +176,15 @@ public:
     Seq sent_new() const { return driver_tx_.sent_new(); }
     SimTime timeout_value() const { return driver_tx_.timeout_value(); }
 
-    /// Acks that rode a reverse DATA frame vs. egressed standalone.
+    /// Acks that rode a reverse DATA frame vs. egressed standalone, ack
+    /// blocks merged into an earlier block of the same receive batch,
+    /// and blocks not yet egressed (queued or held).  For cores with
+    /// unwrapped acks the four sum to acks_sent + dup_acks of the
+    /// receiving half at every step.
     std::uint64_t piggybacked() const { return piggybacked_; }
     std::uint64_t standalone_acks() const { return standalone_acks_; }
+    std::uint64_t acks_coalesced() const { return coalesced_; }
+    std::uint64_t acks_deferred() const { return pending_.size() - head_ + (holding_ ? 1 : 0); }
 
     const sim::Metrics& tx_metrics() const { return driver_tx_.metrics(); }
     const sim::Metrics& rx_metrics() const { return driver_rx_.metrics(); }
@@ -181,19 +204,26 @@ public:
         driver_rx_.set_decision_log(log);
     }
 
+    /// Opens a receive batch: the frames fed until end_batch() came from
+    /// one receive batch of the host.
+    void begin_batch() { batch_open_ = true; }
+    bool batch_open() const { return batch_open_; }
+
+    /// Closes the receive batch and emits the block held across it.
+    /// Deferred (piggyback) acks stay queued for reverse DATA as before.
+    void end_batch() {
+        batch_open_ = false;
+        tail_in_batch_ = false;
+        emit_held();
+    }
+
     /// Emits every still-deferred ack standalone, immediately.  The
     /// flush timer calls this when the reverse path stays quiet for a
     /// full piggyback_delay; environments may also call it directly to
     /// drain the queue at a shutdown or teardown boundary.
     void flush_deferred() {
-        if (head_ >= pending_.size()) return;
-        for (std::size_t i = head_; i < pending_.size(); ++i) {
-            ++standalone_acks_;
-            env_.send_ack(pending_[i].ack, pending_[i].kind);
-        }
-        pending_.clear();
-        head_ = 0;
-        flush_timer_.cancel();
+        emit_held();
+        drain_queue();
     }
 
 private:
@@ -230,7 +260,10 @@ private:
             BACP_ASSERT_MSG(false, "receiving half transmitted data");
         }
         void send_ack(const proto::Ack& ack, AckKind kind) { self->egress_ack(ack, kind); }
-        void send_nak(const proto::Nak& nak) { self->env_.send_nak(nak); }
+        void send_nak(const proto::Nak& nak) {
+            self->emit_held();
+            self->env_.send_nak(nak);
+        }
         void on_delivery(Seq true_seq) { self->env_.on_delivery(true_seq); }
         void after_step() { self->env_.after_step(); }
         sim::LatencyHistograms& latency() { return self->env_.latency(); }
@@ -261,6 +294,7 @@ private:
     /// ride as the upper slice (lo, domain-1); the lower slice (0, hi)
     /// stays at the head of the queue for the next frame.
     void egress_data(const proto::Data& msg, Seq true_seq, bool retx) {
+        emit_held();  // the held block was decided before this DATA
         if (head_ < pending_.size()) {
             PendingAck ride = pending_[head_];
             if constexpr (kCoreAckWireWrapped<Core>) {
@@ -285,23 +319,75 @@ private:
     /// Once the sending half has retired its whole count no DATA will
     /// ever egress again, so deferral would be pure added latency --
     /// tail acks go standalone immediately.
+    ///
+    /// Inside a receive batch, a mergeable block (see coalescible())
+    /// that continues the batch's newest block extends it; otherwise it
+    /// becomes the newest block itself -- held for end_batch() on the
+    /// standalone path, queued on the deferral path.
     void egress_ack(const proto::Ack& ack, AckKind kind) {
+        const bool mergeable = batch_open_ && coalescible(ack, kind);
         if (!piggyback_ || driver_tx_.all_sent_and_acked()) {
-            flush_deferred();  // keep older deferred blocks ahead of this one
+            drain_queue();  // keep older deferred blocks ahead of this one
+            if (mergeable && holding_ && ack.lo == held_.hi + 1) {
+                held_.hi = ack.hi;
+                ++coalesced_;
+                return;
+            }
+            emit_held();
+            if (mergeable) {
+                held_ = ack;
+                holding_ = true;
+                return;
+            }
             ++standalone_acks_;
             env_.send_ack(ack, kind);
             return;
         }
+        // A block is held only while the tail rule applied, and it is
+        // older than anything queued from here on.
+        emit_held();
+        if (mergeable && tail_in_batch_ && ack.lo == pending_.back().ack.hi + 1) {
+            pending_.back().ack.hi = ack.hi;
+            ++coalesced_;
+            return;
+        }
         pending_.push_back(PendingAck{ack, kind});
+        tail_in_batch_ = mergeable;
         if (!flush_timer_.armed()) flush_timer_.restart(piggyback_delay_);
     }
 
-    void pop_pending() {
-        if (++head_ == pending_.size()) {
-            pending_.clear();
-            head_ = 0;
-            flush_timer_.cancel();
+    /// A block ack a later contiguous block may extend: cumulative cores
+    /// only (merging selective acks would claim arrivals in between) and
+    /// unwrapped ranges only (the merge must stay one closed interval).
+    static bool coalescible(const proto::Ack& ack, AckKind kind) {
+        return Core::kCumulativeAcks && kind == AckKind::Block && ack.lo <= ack.hi;
+    }
+
+    void emit_held() {
+        if (!holding_) return;
+        holding_ = false;
+        ++standalone_acks_;
+        env_.send_ack(held_, AckKind::Block);
+    }
+
+    void drain_queue() {
+        if (head_ >= pending_.size()) return;
+        for (std::size_t i = head_; i < pending_.size(); ++i) {
+            ++standalone_acks_;
+            env_.send_ack(pending_[i].ack, pending_[i].kind);
         }
+        clear_queue();
+    }
+
+    void pop_pending() {
+        if (++head_ == pending_.size()) clear_queue();
+    }
+
+    void clear_queue() {
+        pending_.clear();
+        head_ = 0;
+        tail_in_batch_ = false;
+        flush_timer_.cancel();
     }
 
     struct PendingAck {
@@ -320,6 +406,14 @@ private:
     std::size_t head_ = 0;
     std::uint64_t piggybacked_ = 0;
     std::uint64_t standalone_acks_ = 0;
+    std::uint64_t coalesced_ = 0;
+
+    // Receive-batch state: the bracket, the block held for its end
+    // (standalone path), and whether the queue's tail joined this batch.
+    bool batch_open_ = false;
+    bool holding_ = false;
+    bool tail_in_batch_ = false;
+    proto::Ack held_;
 
     TxHalf tx_env_{this};
     RxHalf rx_env_{this};

@@ -227,6 +227,52 @@ TEST(Footprint, FleetSessionHeapIndependentOfCount) {
     EXPECT_NEAR(at_4096, at_64, 1.0);
 }
 
+TEST(Footprint, FleetHoldsOnlyItsAdmittedSessions) {
+    // Sessions are built on admission and freed when they finish, so a
+    // fleet of 256 sessions with an admission window of 16 holds what a
+    // fleet of 16 does, plus one pointer per session.
+    const auto fleet_bytes = [](std::size_t sessions) {
+        ManualClock clock;
+        InprocHub hub(8192, 8192);
+        std::unique_ptr<Transport> socket = hub.make_client();
+        FleetConfig cfg;
+        cfg.session.w = 4;
+        cfg.session.count = 64;
+        cfg.session.payload_size = 32;
+        cfg.session.max_datagram = 32 + 128;
+        cfg.session.timeout = 250 * kMillisecond;
+        cfg.sessions = sessions;
+        cfg.max_active = 16;
+        const std::int64_t before = live_bytes();
+        ClientFleet<Core> fleet(cfg, {}, clock, {socket.get()});
+        fleet.poll();  // admits the first 16
+        EXPECT_EQ(fleet.active_count(), 16u);
+        return live_bytes() - before;
+    };
+    fleet_bytes(16);  // warm-up
+    const std::int64_t window_only = fleet_bytes(16);
+    const std::int64_t many = fleet_bytes(256);
+    EXPECT_LE(many - window_only, static_cast<std::int64_t>(240 * sizeof(void*) + 64));
+}
+
+TEST(Footprint, IncrementalWheelReserveGrowsGeometrically) {
+    // Hosts reserve a session's timers as they build it, with earlier
+    // sessions' timers live: n timers reserved four at a time must cost
+    // O(log n) allocations, not one slab copy per session.
+    constexpr std::size_t kTimers = 4096;
+    ManualClock clock;
+    TimerWheel wheel(clock);
+    const std::uint64_t before = memprobe::allocs_now();
+    for (std::size_t i = 0; i < kTimers; i += 4) {
+        wheel.reserve(4);
+        for (int k = 0; k < 4; ++k) wheel.schedule_after(kSecond, [] {});
+    }
+    const std::uint64_t allocs = memprobe::allocs_now() - before;
+    EXPECT_EQ(wheel.armed(), kTimers);
+    // Two vectors (node slab, fire scratch), each doubling from 4.
+    EXPECT_LE(allocs, 2u * 12u);
+}
+
 // ---- leak regressions ------------------------------------------------------
 //
 // Each case drives a pure receiver through NetEndpoint::handle_frame and

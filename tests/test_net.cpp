@@ -718,6 +718,53 @@ TEST(NetEngineInproc, BoundedResidueAcksSurviveDomainWrap) {
     EXPECT_EQ(report.payload_mismatches, 0u);
 }
 
+// Action 5 fires per receive batch: a poll that drains several in-order
+// DATA frames sends one ACK frame per contiguous block, while every ack
+// decision is still counted.  The ack ledger balances exactly --
+// decisions (acks_sent + dup_acks) = blocks egressed (standalone +
+// piggybacked) + blocks merged away + blocks still deferred -- for every
+// core whose blocks never wrap the wire domain.
+void expect_ack_ledger(const NetReport& r) {
+    EXPECT_TRUE(r.ack_ledger_balances())
+        << r.metrics.acks_sent << " + " << r.metrics.dup_acks << " vs " << r.standalone_acks
+        << " + " << r.piggybacked << " + " << r.acks_coalesced << " + " << r.acks_deferred;
+}
+
+TEST(NetEngineInproc, ReceiveBatchesCoalesceBlockAcks) {
+    NetConfig cfg = inproc_config(400, 0.0, 21);
+    cfg.impair = ImpairSpec{};  // whole windows arrive in one batch
+    const NetReport ba = run_inproc<BaNetEngine>(cfg);
+    ASSERT_TRUE(ba.completed);
+    EXPECT_GT(ba.acks_coalesced, 0u);
+    // One ACK datagram per window instead of one per message.
+    EXPECT_LE(ba.transport_rs.datagrams_sent * cfg.w, ba.metrics.acks_sent);
+    expect_ack_ledger(ba);
+
+    const NetReport gbn = run_inproc<GbnNetEngine>(cfg);
+    ASSERT_TRUE(gbn.completed);
+    EXPECT_GT(gbn.acks_coalesced, 0u);
+    expect_ack_ledger(gbn);
+
+    // Selective repeat's acks name single arrivals: none merge.
+    const NetReport sr = run_inproc<SrNetEngine>(cfg);
+    ASSERT_TRUE(sr.completed);
+    EXPECT_EQ(sr.acks_coalesced, 0u);
+    EXPECT_EQ(sr.transport_rs.datagrams_sent, sr.metrics.acks_sent + sr.metrics.dup_acks);
+    expect_ack_ledger(sr);
+}
+
+TEST(NetEngineInproc, AckLedgerBalancesUnderLossAndPiggyback) {
+    for (const bool piggyback : {false, true}) {
+        NetConfig cfg = inproc_config(300, 0.1, 8);
+        cfg.reverse_count = 300;
+        cfg.piggyback = piggyback;
+        const NetReport r = run_inproc<BaNetEngine>(cfg);
+        ASSERT_TRUE(r.completed) << "piggyback " << piggyback;
+        EXPECT_EQ(r.payload_mismatches, 0u);
+        expect_ack_ledger(r);
+    }
+}
+
 // ------------------------------------------------- UDP loopback soak --
 
 // Short and time-bounded (the deadline caps it): real sockets, real

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ba/engine_core.hpp"
+#include "baselines/engine_cores.hpp"
 #include "net/client_fleet.hpp"
 #include "net/clock.hpp"
 #include "net/inproc_hub.hpp"
@@ -434,6 +435,7 @@ TEST(ClientFleet, ManySessionsOverFewSocketsCompleteWithinAdmissionWindow) {
     fcfg.sessions = 24;
     fcfg.max_active = 8;
 
+    const PeerAddr fleet_addr = hub.next_client_addr();  // s0, session 0's socket
     const std::unique_ptr<Transport> s0 = hub.make_client();
     const std::unique_ptr<Transport> s1 = hub.make_client();
     const std::unique_ptr<Transport> s2 = hub.make_client();
@@ -465,6 +467,20 @@ TEST(ClientFleet, ManySessionsOverFewSocketsCompleteWithinAdmissionWindow) {
     EXPECT_EQ(stats.unknown_conn_drops, 0u);
     // The fleet's one sink holds every session's ack latency.
     EXPECT_EQ(fleet.latency().ack.count(), 24u * 12u);
+    // Finished sessions are freed, their counters kept in the total.
+    const sim::Metrics proto = fleet.protocol_metrics();
+    EXPECT_EQ(proto.data_new, 24u * 12u);
+    EXPECT_GT(proto.acks_received, 0u);
+
+    // A late ack for a finished (freed) session is counted and dropped.
+    std::vector<std::uint8_t> late;
+    wire::encode_ack_to(late, 0, 11, wire::kFlagNone, wire::kNoStream, wire::Conn{fcfg.first_conn, 1});
+    const std::span<const std::uint8_t> one[] = {std::span<const std::uint8_t>{late}};
+    const PeerAddr to[] = {fleet_addr};
+    const std::uint64_t drops = fleet.stats().idle_conn_drops;
+    hub.server().send_batch_to(one, to);
+    fleet.poll();
+    EXPECT_EQ(fleet.stats().idle_conn_drops, drops + 1);
 
     // Every session landed, demuxed, and delivered fully at the server.
     EXPECT_EQ(server.stats().sessions_opened, 24u);
@@ -473,6 +489,167 @@ TEST(ClientFleet, ManySessionsOverFewSocketsCompleteWithinAdmissionWindow) {
         EXPECT_EQ(v.delivered, 12u);
         EXPECT_EQ(v.payload_mismatches, 0u);
     }
+}
+
+// ---- receive-batch ack coalescing --------------------------------------
+//
+// Frames injected before one server.poll() reach the shard in one receive
+// batch; the replies are read back in wire order.
+
+/// One frame the server sent a client, as the client decodes it (a
+/// NAK's seq in lo and hi).
+struct Reply {
+    wire::FrameType type = wire::FrameType::Ack;
+    Seq lo = 0;
+    Seq hi = 0;
+    Seq epoch = 0;
+    friend bool operator==(const Reply&, const Reply&) = default;
+};
+
+Reply ack(Seq lo, Seq hi, Seq epoch = 1) { return {wire::FrameType::Ack, lo, hi, epoch}; }
+
+std::vector<Reply> replies(Transport& t) {
+    RecvBatch batch(64, kMaxDatagram);
+    std::vector<Reply> out;
+    for (;;) {
+        const std::size_t n = t.recv_batch(batch);
+        for (std::size_t i = 0; i < n; ++i) {
+            const wire::ViewResult r = wire::decode_view(batch[i]);
+            EXPECT_TRUE(r.ok());
+            const wire::FrameView& f = r.frame();
+            const bool nak = f.type == wire::FrameType::Nak;
+            out.push_back({f.type, nak ? f.seq : f.lo, nak ? f.seq : f.hi, f.conn.epoch});
+        }
+        if (n < batch.capacity()) return out;
+    }
+}
+
+/// Acks decided = blocks egressed + blocks merged away (nothing is
+/// deferred here: piggyback is off and every batch has closed).
+void expect_acks_accounted(const SessionView& v) {
+    EXPECT_EQ(v.protocol.acks_sent + v.protocol.dup_acks,
+              v.standalone_acks + v.piggybacked + v.acks_coalesced);
+}
+
+template <typename C>
+std::vector<Reply> replies_to_one_batch(const std::vector<Seq>& seqs, ServerConfig cfg,
+                                        std::vector<SessionView>* views = nullptr) {
+    ManualClock clock;
+    InprocHub hub;
+    Server<C> server(cfg, {}, clock, {&hub.server()});
+    const std::unique_ptr<Transport> client = hub.make_client();
+    for (const Seq seq : seqs) inject_data(*client, seq, wire::Conn{1, 1});
+    server.poll();
+    if (views != nullptr) *views = server.sessions();
+    return replies(*client);
+}
+
+TEST(ServerAckBatching, InOrderWindowInOneBatchLeavesAsOneBlockAck) {
+    constexpr Seq kW = 8;
+    ServerConfig cfg = server_config();
+    cfg.session.w = kW;
+    std::vector<Seq> window;
+    for (Seq seq = 0; seq < kW; ++seq) window.push_back(seq);
+
+    std::vector<SessionView> views;
+    EXPECT_EQ(replies_to_one_batch<Core>(window, cfg, &views), std::vector<Reply>{ack(0, kW - 1)});
+    ASSERT_EQ(views.size(), 1u);
+    // Every arrival was still an ack decision; the frames merged below.
+    EXPECT_EQ(views[0].protocol.acks_sent, kW);
+    EXPECT_EQ(views[0].standalone_acks, 1u);
+    EXPECT_EQ(views[0].acks_coalesced, kW - 1);
+    expect_acks_accounted(views[0]);
+
+    // Go-back-N's cumulative acks merge the same way (its sender reads hi).
+    EXPECT_EQ(replies_to_one_batch<baselines::GbnCore>(window, cfg),
+              std::vector<Reply>{ack(0, kW - 1)});
+
+    // Selective repeat names single arrivals: one frame each, unmerged.
+    std::vector<Reply> want;
+    for (Seq seq = 0; seq < kW; ++seq) want.push_back(ack(seq, seq));
+    EXPECT_EQ(replies_to_one_batch<baselines::SrCore>(window, cfg, &views), want);
+    EXPECT_EQ(views[0].acks_coalesced, 0u);
+    expect_acks_accounted(views[0]);
+}
+
+TEST(ServerAckBatching, DupAckMidBatchKeepsWireOrder) {
+    // 0 and 1 merge; the re-sent 0 draws a dup-ack, which must leave
+    // after the block it follows; 2 then starts a block of its own.
+    std::vector<SessionView> views;
+    const std::vector<Reply> got = replies_to_one_batch<Core>({0, 1, 0, 2}, server_config(), &views);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0], ack(0, 1));
+    EXPECT_EQ(got[1].type, wire::FrameType::Ack);
+    EXPECT_LE(got[1].hi, 1u);  // the dup-ack re-acknowledges the copy
+    EXPECT_EQ(got[2], ack(2, 2));
+    ASSERT_EQ(views.size(), 1u);
+    EXPECT_EQ(views[0].protocol.dup_acks, 1u);
+    expect_acks_accounted(views[0]);
+}
+
+TEST(ServerAckBatching, NakMidBatchKeepsWireOrder) {
+    // 2 arrives beyond the gap at 1: the NAK for 1 must follow the block
+    // [0, 0] decided before it, and the block 1 unlocks leaves after.
+    ServerConfig cfg = server_config();
+    cfg.session.enable_nak = true;
+    cfg.session.nak_threshold = 1;
+    const std::vector<Reply> got = replies_to_one_batch<Core>({0, 2, 1}, cfg);
+    const std::vector<Reply> want = {ack(0, 0), {wire::FrameType::Nak, 1, 1, 1}, ack(1, 2)};
+    EXPECT_EQ(got, want);
+}
+
+TEST(ServerAckBatching, EpochResetMidBatchClosesTheOldIncarnationsBlock) {
+    ManualClock clock;
+    InprocHub hub;
+    Server<Core> server(server_config(), {}, clock, {&hub.server()});
+    const std::unique_ptr<Transport> client = hub.make_client();
+    inject_data(*client, 0, wire::Conn{7, 1});
+    inject_data(*client, 1, wire::Conn{7, 1});
+    inject_data(*client, 0, wire::Conn{7, 2});  // the peer restarted
+    inject_data(*client, 1, wire::Conn{7, 2});
+    server.poll();
+
+    EXPECT_EQ(replies(*client), (std::vector<Reply>{ack(0, 1, 1), ack(0, 1, 2)}));
+    EXPECT_EQ(server.stats().sessions_reset, 1u);
+    ASSERT_EQ(server.session_count(), 1u);
+    EXPECT_EQ(server.sessions()[0].delivered, 2u);
+
+    // The next batch starts clean on the new incarnation.
+    inject_data(*client, 2, wire::Conn{7, 2});
+    server.poll();
+    EXPECT_EQ(replies(*client), std::vector<Reply>{ack(2, 2, 2)});
+}
+
+TEST(ServerAckBatching, PressureEvictionMidBatchEmitsTheVictimsBlock) {
+    ServerConfig cfg = server_config();
+    cfg.max_sessions = 1;  // the second peer's first frame evicts the first
+    ManualClock clock;
+    InprocHub hub;
+    Server<Core> server(cfg, {}, clock, {&hub.server()});
+    const std::unique_ptr<Transport> a = hub.make_client();
+    const std::unique_ptr<Transport> b = hub.make_client();
+    inject_data(*a, 0, wire::Conn{1, 1});
+    inject_data(*a, 1, wire::Conn{1, 1});
+    inject_data(*b, 0, wire::Conn{2, 1});
+    inject_data(*b, 1, wire::Conn{2, 1});
+    inject_data(*b, 2, wire::Conn{2, 1});
+    server.poll();
+
+    EXPECT_EQ(server.stats().sessions_pressure_evicted, 1u);
+    EXPECT_EQ(replies(*a), std::vector<Reply>{ack(0, 1)});
+    EXPECT_EQ(replies(*b), std::vector<Reply>{ack(0, 2)});
+    ASSERT_EQ(server.session_count(), 1u);
+    EXPECT_EQ(server.sessions()[0].conn, 2u);
+
+    // The first peer comes back and evicts the second while the
+    // second's block is held in the same batch: the block leaves, and
+    // the handle the evicted session left behind stays dead.
+    inject_data(*b, 3, wire::Conn{2, 1});
+    inject_data(*a, 0, wire::Conn{1, 1});
+    server.poll();
+    EXPECT_EQ(replies(*b), std::vector<Reply>{ack(3, 3)});
+    EXPECT_EQ(replies(*a), std::vector<Reply>{ack(0, 0)});
+    EXPECT_EQ(server.stats().sessions_pressure_evicted, 2u);
 }
 
 TEST(Server, SocketOwningConstructorBindsConfiguredShards) {
