@@ -204,21 +204,21 @@ public:
 
     /// One event-loop iteration for the whole mux: fire the shared
     /// wheel (all streams' timers), then drain the shared socket and
-    /// route each frame to its stream's endpoint -- the drain is one
-    /// receive batch for every stream, so each stream's contiguous block
-    /// acks leave as one frame.  Member links flush their own egress at
-    /// stage time (batch=1).
+    /// route each frame to its stream's endpoint -- each arena is one
+    /// receive batch for every stream, so a stream's contiguous block
+    /// acks leave as one frame when it ends.  Member links flush their
+    /// own egress at stage time (batch=1).
     std::size_t poll() {
         std::size_t work = wheel_.fire_due();
         transport_->flush();
-        for (auto& link : links_) link->endpoint().begin_batch();
         for (;;) {
+            for (auto& link : links_) link->endpoint().begin_batch();
             const std::size_t n = transport_->recv_batch(rx_);
             for (std::size_t i = 0; i < n; ++i) route(rx_[i]);
+            for (auto& link : links_) link->endpoint().end_batch();
             work += n;
             if (n < rx_.capacity()) break;
         }
-        for (auto& link : links_) link->endpoint().end_batch();
         return work;
     }
 

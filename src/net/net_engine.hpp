@@ -244,21 +244,34 @@ public:
 
     /// One event-loop iteration: fires due timers, pushes out matured
     /// delayed copies, then handles every datagram currently readable --
-    /// drained a whole arena at a time, as one receive batch, so
-    /// contiguous block acks leave as one frame -- and finally flushes
-    /// everything the tick staged (new sends, retransmits, acks) as one
-    /// batch.  Returns how many units of work (timers + datagrams) were
+    /// drained a whole arena at a time -- and finally flushes everything
+    /// the tick staged (new sends, retransmits, acks) as one batch.
+    /// Returns how many units of work (timers + datagrams) were
     /// processed.
+    ///
+    /// The drain is cut into receive batches (DuplexDriver::begin_batch)
+    /// of one arena, or of w single reads when the arena holds fewer
+    /// than w datagrams, so a single-shot endpoint merges the same
+    /// contiguous block acks as a batched one.  A held block waits for
+    /// at most one window's worth of further frames, never for the
+    /// socket to run dry.
     std::size_t poll() {
         std::size_t work = wheel_.fire_due();
         transport_->flush();  // delayed impairer copies matured above
         RecvBatch& rx = rx_batch();
+        const std::size_t span = std::max<std::size_t>(rx.capacity(), cfg_.w);
+        std::size_t fed = 0;
         duplex_.begin_batch();
         for (;;) {
             const std::size_t n = transport_->recv_batch(rx);
             for (std::size_t i = 0; i < n; ++i) frames_.receive(duplex_, rx[i]);
             work += n;
             if (n < rx.capacity()) break;
+            if ((fed += n) >= span) {
+                duplex_.end_batch();
+                duplex_.begin_batch();
+                fed = 0;
+            }
         }
         duplex_.end_batch();
         tx_batch_.flush(*transport_);

@@ -39,20 +39,19 @@
 ///
 /// Receive batches (begin_batch / end_batch): a host that feeds several
 /// frames from one receive batch brackets them, and while the bracket
-/// is open a block ack that starts where the newest block of the batch
-/// ends (lo == hi + 1) extends that block instead of leaving as a frame
-/// of its own -- the paper leaves the moment of action 5 free, and the
-/// batch's end is the latest moment that adds no latency.  Only
-/// cumulative cores (Core::kCumulativeAcks: ba, gbn, abp, tc) merge,
-/// and only unwrapped blocks; selective repeat's acks name single
-/// arrivals and pass through untouched.  Without piggybacking at most
-/// one block is held, and a non-contiguous ack, a dup-ack, a NAK or
-/// outgoing DATA emits it first, so wire order is kept; end_batch()
-/// emits whatever is still held.  With piggybacking the merge extends
-/// the deferral queue's tail.  The inner drivers still log and count
-/// every AckBlock decision, so decision streams and acks_sent do not
-/// see the merge; acks_coalesced() counts the blocks it absorbed.  The
-/// DES never opens a batch.
+/// is open a standalone block ack is held, and a later block that
+/// starts where the held one ends (lo == hi + 1) extends it instead of
+/// leaving as a frame of its own -- the paper leaves the moment of
+/// action 5 free.  Only cumulative cores (Core::kCumulativeAcks: ba,
+/// gbn, abp, tc) merge, and only unwrapped blocks; selective repeat's
+/// acks name single arrivals and pass through untouched.  At most one
+/// block is held: a non-contiguous ack, a dup-ack, a NAK or outgoing
+/// DATA emits it first, so wire order is kept, and end_batch() emits
+/// it.  Acks bound for the piggyback queue are not merged: each waits
+/// for its own reverse DATA frame or the flush timer.  The inner
+/// drivers still log and count every AckBlock decision, so decision
+/// streams and acks_sent do not see the merge; acks_coalesced() counts
+/// the blocks it absorbed.  The DES never opens a batch.
 
 #include <cstddef>
 #include <cstdint>
@@ -213,7 +212,6 @@ public:
     /// Deferred (piggyback) acks stay queued for reverse DATA as before.
     void end_batch() {
         batch_open_ = false;
-        tail_in_batch_ = false;
         emit_held();
     }
 
@@ -320,14 +318,13 @@ private:
     /// ever egress again, so deferral would be pure added latency --
     /// tail acks go standalone immediately.
     ///
-    /// Inside a receive batch, a mergeable block (see coalescible())
-    /// that continues the batch's newest block extends it; otherwise it
-    /// becomes the newest block itself -- held for end_batch() on the
-    /// standalone path, queued on the deferral path.
+    /// On the standalone path inside a receive batch, a mergeable block
+    /// (see coalescible()) that continues the held block extends it;
+    /// otherwise it is held itself for end_batch().
     void egress_ack(const proto::Ack& ack, AckKind kind) {
-        const bool mergeable = batch_open_ && coalescible(ack, kind);
         if (!piggyback_ || driver_tx_.all_sent_and_acked()) {
             drain_queue();  // keep older deferred blocks ahead of this one
+            const bool mergeable = batch_open_ && coalescible(ack, kind);
             if (mergeable && holding_ && ack.lo == held_.hi + 1) {
                 held_.hi = ack.hi;
                 ++coalesced_;
@@ -346,13 +343,7 @@ private:
         // A block is held only while the tail rule applied, and it is
         // older than anything queued from here on.
         emit_held();
-        if (mergeable && tail_in_batch_ && ack.lo == pending_.back().ack.hi + 1) {
-            pending_.back().ack.hi = ack.hi;
-            ++coalesced_;
-            return;
-        }
         pending_.push_back(PendingAck{ack, kind});
-        tail_in_batch_ = mergeable;
         if (!flush_timer_.armed()) flush_timer_.restart(piggyback_delay_);
     }
 
@@ -386,7 +377,6 @@ private:
     void clear_queue() {
         pending_.clear();
         head_ = 0;
-        tail_in_batch_ = false;
         flush_timer_.cancel();
     }
 
@@ -408,11 +398,9 @@ private:
     std::uint64_t standalone_acks_ = 0;
     std::uint64_t coalesced_ = 0;
 
-    // Receive-batch state: the bracket, the block held for its end
-    // (standalone path), and whether the queue's tail joined this batch.
+    // Receive-batch state: the bracket and the block held for its end.
     bool batch_open_ = false;
     bool holding_ = false;
-    bool tail_in_batch_ = false;
     proto::Ack held_;
 
     TxHalf tx_env_{this};

@@ -765,6 +765,44 @@ TEST(NetEngineInproc, AckLedgerBalancesUnderLossAndPiggyback) {
     }
 }
 
+// A receive batch ends after one window's worth of frames even while
+// input keeps arriving: three windows of in-order DATA queued before one
+// poll leave as three block acks, through a window-sized arena and
+// through single-shot reads alike -- never as one ack held until the
+// socket runs dry.
+TEST(NetEndpointInproc, ReceiveBatchHoldsAnAckForAtMostOneWindow) {
+    constexpr Seq kW = 8;
+    for (const std::size_t batch : {std::size_t{0}, std::size_t{1}}) {
+        NetConfig cfg;
+        cfg.w = kW;
+        cfg.count = 0;
+        cfg.rx_count = 3 * kW;
+        cfg.batch = batch;
+        ManualClock clock;
+        TimerWheel wheel(clock);
+        auto [local, peer] = InprocTransport::make_pair();
+        NetEndpoint<ba::EngineCore<ba::Sender, ba::Receiver>> endpoint(cfg, {}, wheel, *local);
+        endpoint.start();
+        for (Seq seq = 0; seq < 3 * kW; ++seq) {
+            std::vector<std::uint8_t> frame;
+            wire::encode_data_to(frame, seq, pattern_payload(seq, cfg.payload_size));
+            ASSERT_TRUE(send_one(*peer, frame));
+        }
+        endpoint.poll();
+        EXPECT_EQ(endpoint.metrics().delivered, 3 * kW);
+        std::vector<std::pair<Seq, Seq>> acks;
+        while (const auto datagram = recv_copy(*peer)) {
+            const wire::ViewResult r = wire::decode_view(*datagram);
+            ASSERT_TRUE(r.ok());
+            acks.emplace_back(r.frame().lo, r.frame().hi);
+        }
+        const std::vector<std::pair<Seq, Seq>> want{{0, kW - 1}, {kW, 2 * kW - 1},
+                                                    {2 * kW, 3 * kW - 1}};
+        EXPECT_EQ(acks, want) << "batch " << batch;
+        EXPECT_EQ(endpoint.acks_coalesced(), 3 * (kW - 1)) << "batch " << batch;
+    }
+}
+
 // ------------------------------------------------- UDP loopback soak --
 
 // Short and time-bounded (the deadline caps it): real sockets, real
